@@ -72,8 +72,10 @@ from .terms import (
     right_comb,
     right_height,
     rightmost_variable,
+    same_spine,
     size,
     skeleton,
+    spine_profile,
     substitute,
     subterm,
     unify,

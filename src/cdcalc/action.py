@@ -24,6 +24,7 @@ from .terms import (
     first_occurrences,
     project,
     replace,
+    same_spine,
     skeleton,
     substitute,
     subterm,
@@ -190,18 +191,6 @@ def _skeleton_map(t: Term, depth: int) -> dict:
     return out
 
 
-def _spine_profile(t: Term):
-    # Per iterated right subterm: the first-occurrence variable sequence.
-    # Encodes right height, the rightmost variable, and the variable order,
-    # all of which are preserved by the rewriting relation.
-    profile = []
-    while True:
-        profile.append(tuple(first_occurrences(t)))
-        if type(t) is Leaf:
-            return tuple(profile)
-        t = t.right
-
-
 def _strictly_left_divides(low: frozenset, high: frozenset) -> bool:
     # Witness that some member of `high` has a proper iterated left subterm
     # inside `low`, i.e. low's class strictly left-divides high's class.
@@ -227,7 +216,7 @@ def oracle_equiv(t: Term, t2: Term, depth: int) -> Verdict:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if _spine_profile(t) != _spine_profile(t2):
+    if not same_spine(t, t2):
         return Verdict.NOT_EQUIVALENT
     if t == t2:
         return Verdict.EQUIVALENT

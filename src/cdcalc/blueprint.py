@@ -15,7 +15,8 @@ from .words import Word, inverse, pos_word, shift
 PHI = pos_word([""])  # the single-letter word acting at the root
 
 
-def _require_one_variable(t: Term) -> None:
+def require_one_variable(t: Term) -> None:
+    """Raise ValueError unless every leaf of t is x1."""
     if any(i != 1 for i in variables(t)):
         raise ValueError(f"one-variable term required (all leaves x1): {render_term(t)}")
 
@@ -29,7 +30,7 @@ def star(u: Word, v: Word) -> Word:
 def chi(t: Term) -> Word:
     """The blueprint of a one-variable term; the unique homomorphism into
     words under star that sends x to the empty word."""
-    _require_one_variable(t)
+    require_one_variable(t)
     memo = {}
     stack = [t]
     while stack:
@@ -50,7 +51,7 @@ def chi(t: Term) -> Word:
 def chi_star(t: Term) -> Word:
     """The positive-friendly blueprint: chi(t0) . 1 chi_star(t1), unrolled
     down the right spine."""
-    _require_one_variable(t)
+    require_one_variable(t)
     out = []
     depth = 0
     while type(t) is Node:
@@ -62,7 +63,7 @@ def chi_star(t: Term) -> Word:
 
 def blueprint_action_check(t: Term) -> bool:
     """Verify that the blueprint of t maps x^[p+1] to t*x^[p] with p = size(t)."""
-    _require_one_variable(t)
+    require_one_variable(t)
     p = size(t)
     image = apply_word(right_comb(p + 1), chi(t))
     return image == Node(t, right_comb(p))

@@ -2,13 +2,16 @@
 
 dil(i, u) tracks how a positive word u moves the i-th iterated left
 subterm: applying u to t sends left^i(t) to an expansion sitting at
-left^dil(i,u) of the image.  Only letters at addresses 1^p with p < i
-deepen the spine.  Comparing dil(1, -) of the numerator and denominator
+left^dil(i,u) of the image.  Only letters at addresses 0^p with p < i
+deepen the left spine.  Comparing dil(1, -) of the numerator and denominator
 of a redressed word is invariant under equivalence and classifies group
 elements into P_minus / P_zero / P_plus; a blueprint difference lies in
 P_zero exactly when the two terms are equivalent, which decides the word
 problem, first for one-variable terms and then in general by projecting
 and comparing one explicit pair of expansions.
+
+Before any of that, both decisions refute pairs whose right-spine
+profiles differ (`same_spine`), in O(n) and without redressing.
 """
 
 import enum
@@ -16,9 +19,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .action import apply_word
-from .blueprint import chi
+from .blueprint import chi, require_one_variable
 from .redress import Fraction, redress
-from .terms import Node, Term, project, right_comb
+from .terms import Node, Term, project, right_comb, same_spine
 from .words import Word, inverse, positive_addresses
 
 
@@ -57,25 +60,51 @@ def classify(w: Word, budget: Optional[int] = None) -> Classification:
     return _classify_fraction(redress(w, budget=budget))
 
 
+def _p_zero_fraction(t: Term, t2: Term, budget: Optional[int]) -> Optional[Fraction]:
+    # The pipeline shared by decide and decide_one_var: spine reject, then
+    # the blueprint difference of the projections, redressed and classified.
+    # None refutes the pair; otherwise the P_zero fraction is returned.
+    if not same_spine(t, t2):
+        return None
+    fraction = redress(inverse(chi(project(t))) + chi(project(t2)), budget=budget)
+    if _classify_fraction(fraction) is not Classification.P_ZERO:
+        return None
+    return fraction
+
+
 def decide_one_var(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
-    """Equivalence of one-variable terms: the blueprint difference must
-    classify as P_zero."""
-    return classify(inverse(chi(t)) + chi(t2), budget=budget) is Classification.P_ZERO
+    """Equivalence of one-variable terms: equal right heights, and the
+    blueprint difference must classify as P_zero."""
+    require_one_variable(t)
+    require_one_variable(t2)
+    return _p_zero_fraction(t, t2, budget) is not None
 
 
 def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     """Equivalence of arbitrary terms.
 
-    Project to one variable and classify the blueprint difference; when it
-    passes, extend both terms by a tall right comb, apply the fraction's
-    numerator on one side and denominator on the other (the blueprint acts
-    on comb-extended terms, so both applications are defined, and
-    definedness of positive words only depends on the skeleton), and
-    compare the resulting expansions literally: distinct terms with one
-    skeleton are never equivalent.
+    First refute on the right spine: the first-occurrence variable sequence
+    of every iterated right subterm (`spine_profile`) is invariant under
+    equivalence.  s0*(s1*s2) and (s0*s1)*(s1*s2) have one first-occurrence
+    order, so a letter of either sign keeps the sequence of the subterm it
+    rewrites and of every subterm around it.  A letter at 1^k 0 b acts
+    inside the left factor of level k, so levels 0..k keep their sequences
+    and the deeper ones are untouched.  A letter at 1^k rewrites level k
+    itself and keeps its right subterm s1*s2, so the right height and the
+    deeper levels are untouched too.  A mismatch therefore means "not
+    equivalent", and costs O(n) instead of a redressing.
+
+    Otherwise project to one variable and classify the blueprint
+    difference; when it passes, extend both terms by a tall right comb,
+    apply the fraction's numerator on one side and denominator on the
+    other (the blueprint acts on comb-extended terms, so both applications
+    are defined, and definedness of positive words only depends on the
+    skeleton), and compare the resulting expansions literally: distinct
+    terms with one skeleton are never equivalent.  Every "yes" rests on
+    that comparison.
     """
-    fraction = redress(inverse(chi(project(t))) + chi(project(t2)), budget=budget)
-    if _classify_fraction(fraction) is not Classification.P_ZERO:
+    fraction = _p_zero_fraction(t, t2, budget)
+    if fraction is None:
         return False
     p = max(t.size, t2.size)
     a = apply_word(Node(t, right_comb(p)), fraction.num)

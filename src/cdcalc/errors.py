@@ -10,8 +10,8 @@ class ParseError(ValueError):
 
 
 class StepBudgetExceeded(RuntimeError):
-    """A rewrite loop ran past its step budget. Indicates a bug or an absurd input,
-    never expected behaviour (redressing is known to terminate)."""
+    """A rewrite loop ran past its step budget.  Redressing always terminates,
+    but some inputs need millions of steps; the message says how far it got."""
 
 
 class SizeLimitExceeded(RuntimeError):

@@ -163,6 +163,43 @@ def rightmost_variable(t: Term) -> int:
     return t.index
 
 
+def spine_profile(t: Term) -> tuple:
+    """The first-occurrence variable sequence of every iterated right
+    subterm, from t itself down to its rightmost leaf.
+
+    It encodes the right height, the rightmost variable and the variable
+    order, and rewriting in either direction preserves it (see `decide`).
+    Built bottom-up: level k is first_occurrences(left_k) followed by the
+    part of level k+1 it has not seen, which costs O(n + h*v) for n leaves,
+    right height h and v variables.  Equal consecutive levels share one
+    tuple, so a one-variable profile is h+1 references to (1,).
+    """
+    lefts = []
+    while type(t) is Node:
+        lefts.append(t.left)
+        t = t.right
+    level = (t.index,)
+    profile = [level]
+    for left in reversed(lefts):
+        head = first_occurrences(left)
+        seen = set(head)
+        nxt = tuple(head) + tuple(i for i in level if i not in seen)
+        if nxt != level:
+            level = nxt
+        profile.append(level)
+    profile.reverse()
+    return tuple(profile)
+
+
+def same_spine(t: Term, t2: Term) -> bool:
+    """Whether t and t2 have one spine profile.  Compares the right heights
+    and the rightmost variables first, and builds the profiles only when
+    those agree."""
+    if right_height(t) != right_height(t2) or rightmost_variable(t) != rightmost_variable(t2):
+        return False
+    return spine_profile(t) == spine_profile(t2)
+
+
 def skeleton(t: Term):
     """The unlabelled tree shape of t, as nested pairs: () for a leaf."""
     work = [(t, False)]

@@ -1,4 +1,7 @@
+import json
 import random
+import sys
+import time
 from itertools import product
 
 import pytest
@@ -10,7 +13,9 @@ from cdcalc import (
     Leaf,
     Letter,
     MulTable,
+    Node,
     Verdict,
+    apply_letter,
     apply_word,
     cd_relations,
     check_free,
@@ -29,10 +34,15 @@ from cdcalc import (
     parse_term,
     parse_word,
     pos_word,
+    right_comb,
+    same_spine,
     shift,
+    spine_profile,
     star,
+    variables,
 )
-from helpers import X, is_expansion, labeled_upto, one_var_upto
+from cdcalc.cli import main
+from helpers import X, is_expansion, labeled_terms, labeled_upto, one_var_upto
 
 x = X
 
@@ -128,6 +138,102 @@ def test_decide_agrees_with_oracle_on_two_variable_terms():
             v = oracle_equiv(t, t2, 8)
             assert v is not Verdict.UNKNOWN
             assert (v is Verdict.EQUIVALENT) == decide(t, t2)
+
+
+# Two random 32-leaf one-variable terms, right heights 6 and 4, whose
+# blueprint difference needs more than 10^6 redressing steps.
+KNOWN_32 = (
+    "(((x1 x1) ((x1 (((x1 x1) x1) ((x1 x1) x1))) x1)) ((((((x1 x1) ((x1 x1) x1)) "
+    "(x1 (x1 x1))) x1) (x1 x1)) ((x1 x1) (x1 (((x1 (x1 x1)) ((x1 x1) x1)) (x1 x1))))))",
+    "(((x1 x1) x1) (((((x1 x1) x1) (x1 (x1 x1))) (x1 ((x1 x1) x1))) (((x1 x1) x1) "
+    "((((x1 x1) ((x1 x1) x1)) ((x1 ((x1 x1) (x1 (((x1 x1) x1) (x1 x1))))) x1)) x1))))",
+)
+
+
+def _naive_spine_profile(t):
+    levels = [t]
+    while type(levels[-1]) is Node:
+        levels.append(levels[-1].right)
+    return tuple(tuple(dict.fromkeys(variables(s))) for s in levels)
+
+
+def test_spine_profile_matches_its_definition():
+    terms = labeled_upto(4, 3)
+    for t in terms:
+        assert spine_profile(t) == _naive_spine_profile(t)
+    for t in terms[:60]:
+        for t2 in terms:
+            assert same_spine(t, t2) == (_naive_spine_profile(t) == _naive_spine_profile(t2))
+
+
+def test_spine_profile_on_deep_terms_does_not_recurse():
+    n = 10**5
+    left = Leaf(1)
+    for i in range(1, n):
+        left = Node(left, Leaf(i % 3 + 1))
+    assert spine_profile(left) == ((1, 2, 3), (left.right.index,))
+    right = right_comb(n)
+    profile = spine_profile(right)
+    assert len(profile) == n and set(profile) == {(1,)}
+    assert not same_spine(right, Node(right, X))
+
+
+def test_known_32_leaf_pair_is_refuted_fast(capsys):
+    t, t2 = (parse_term(s) for s in KNOWN_32)
+    start = time.perf_counter()
+    assert decide(t, t2) is False
+    assert decide_one_var(t, t2) is False
+    assert time.perf_counter() - start < 0.5
+    assert main(["--json", "decide", *KNOWN_32]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "result": False}
+
+
+def test_spine_reject_needs_no_redressing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("redress called on a spine-refutable pair")
+
+    monkeypatch.setattr(sys.modules["cdcalc.decide"], "redress", refuse)
+    assert decide(x * (x * x), x * x) is False
+    assert decide(parse_term("(x1 x2)"), parse_term("(x2 x1)")) is False
+    assert decide(parse_term("(x1 (x2 x3))"), parse_term("((x1 x2) (x2 x1))")) is False
+    assert decide_one_var(x * (x * x), (x * x) * x) is False
+    t, t2 = (parse_term(s) for s in KNOWN_32)
+    assert decide(t, t2) is False and decide_one_var(t, t2) is False
+    with pytest.raises(ValueError):
+        decide_one_var(Leaf(2), Leaf(3))
+
+
+def _signed_walk(rng, t, length):
+    # a random applicable word of signed letters, applied to t
+    for _ in range(length):
+        images = []
+        stack = [("", t)]
+        while stack:
+            addr, cur = stack.pop()
+            if type(cur) is Node:
+                for sign in (1, -1):
+                    image = apply_letter(t, Letter(addr, sign))
+                    if image is not None:
+                        images.append(image)
+                stack.append((addr + "0", cur.left))
+                stack.append((addr + "1", cur.right))
+        if not images:
+            break
+        t = rng.choice(images)
+    return t
+
+
+def test_decide_holds_along_random_signed_walks():
+    # the spine reject never fires on an equivalent pair
+    rng = random.Random(59)
+    for _ in range(200):
+        nvars = rng.randint(1, 3)
+        t = rng.choice(labeled_terms(rng.randint(3, 6), nvars))
+        walked = _signed_walk(rng, t, rng.randint(2, 6))
+        assert same_spine(t, walked)
+        assert decide(t, walked)
+        if nvars == 1:
+            assert decide_one_var(t, walked)
 
 
 def test_compare_examples():

@@ -21,9 +21,11 @@ from cdcalc import (
     pos_equiv,
     pos_word,
     render_word,
+    right_height,
     shift,
+    subterm,
 )
-from helpers import X, is_expansion, one_var_upto
+from helpers import X, is_expansion, labeled_upto, one_var_upto
 
 x = X
 
@@ -56,6 +58,24 @@ def test_delta_examples():
     assert pos_equiv(delta(t), lcm(pos_word([""]), pos_word(["0"])))
 
 
+def _reference_delta(t):
+    # the docstring's definition, spreading the term with apply_word
+    h = right_height(t)
+    if h == 0:
+        return ()
+    head = alpha_power("", h - 1)
+    spread = apply_word(t, head)
+    out = head
+    for i in range(h):
+        out += shift("1" * i + "0", _reference_delta(subterm(spread, "1" * i + "0")))
+    return out
+
+
+def test_delta_matches_its_definition():
+    for t in labeled_upto(5, 2):
+        assert delta(t) == _reference_delta(t)
+
+
 def test_delta_total_on_small_terms():
     for t in one_var_upto(8):
         assert apply_word(t, delta(t)) is not None
@@ -76,6 +96,15 @@ def test_partial_size_ceiling():
         partial_iter(x * (x * (x * (x * x))), 6, max_size=500)
     with pytest.raises(ValueError):
         partial_iter(x, -1)
+
+
+def test_delta_size_ceiling():
+    # delta raises only where partial would, so a ceiling of size(partial t)
+    # leaves it as it was
+    for t in one_var_upto(6):
+        assert delta(t, max_size=partial(t).size) == delta(t)
+    with pytest.raises(SizeLimitExceeded):
+        delta(partial(x * (x * (x * (x * x)))), max_size=20)
 
 
 def test_delta_left_factor():

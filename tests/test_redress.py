@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -23,6 +24,7 @@ from cdcalc import (
     render_word,
     trace,
 )
+from cdcalc.cli import main
 from helpers import pos_words_st, terms_st, words_st
 
 
@@ -71,8 +73,21 @@ def test_redress_examples():
 
 
 def test_redress_budget():
-    with pytest.raises(StepBudgetExceeded):
+    with pytest.raises(StepBudgetExceeded) as err:
         redress(parse_word("-e.1"), budget=0)
+    # the message reports how far redressing got
+    assert str(err.value) == (
+        "redressing stopped at its budget after 0 steps; the word has 2 letters, "
+        "the input had 2")
+
+
+def test_redress_budget_in_cli_json_envelope(capsys):
+    assert main(["--json", "--budget", "0", "redress", "0.-e.1"]) == 2
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["ok"] is False
+    assert envelope["error"] == (
+        "redressing stopped at its budget after 0 steps; the word has 3 letters, "
+        "the input had 3")
 
 
 @settings(max_examples=50, deadline=None)
