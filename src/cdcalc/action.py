@@ -53,17 +53,11 @@ def apply_letter(t: Term, letter: Letter) -> Optional[Term]:
 
 def apply_word(t: Term, w: Word, max_size: Optional[int] = None) -> Optional[Term]:
     """Left-to-right fold of apply_letter; None as soon as one step is undefined."""
-    for letter in w:
-        t = apply_letter(t, letter)
-        if t is None:
-            return None
-        if max_size is not None and t.size > max_size:
-            raise SizeLimitExceeded(f"term grew past {max_size} leaves while applying a word")
-    return t
+    return apply_word_partial(t, w, max_size)[0]
 
 
 def apply_word_partial(t: Term, w: Word, max_size: Optional[int] = None):
-    """Like apply_word but reports progress: (result or None, letters applied)."""
+    """apply_word with its progress: (result or None, letters applied)."""
     done = 0
     for letter in w:
         nxt = apply_letter(t, letter)
@@ -203,21 +197,8 @@ def _strictly_left_divides(low: frozenset, high: frozenset) -> bool:
     return False
 
 
-def oracle_equiv(t: Term, t2: Term, depth: int) -> Verdict:
-    """Brute-force equivalence check, independent of the word-based procedures.
-
-    EQUIVALENT comes only from an explicit common expansion within `depth`
-    steps of both terms.  NOT_EQUIVALENT comes only from sound invariants:
-    a right-spine variable profile mismatch, two distinct same-skeleton
-    expansions (distinct terms with one skeleton are never equivalent), a
-    strict iterated-left-divisor witness (no term is equivalent to a proper
-    iterated left subterm of an equivalent term), or a refutation for the
-    right subterms or the one-variable projections.  Anything else is UNKNOWN.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if not same_spine(t, t2):
-        return Verdict.NOT_EQUIVALENT
+def _search(t: Term, t2: Term, depth: int) -> Verdict:
+    # The closure search on one pair, without the spine check or descent.
     if t == t2:
         return Verdict.EQUIVALENT
     for k in range(depth + 1):
@@ -231,11 +212,40 @@ def oracle_equiv(t: Term, t2: Term, depth: int) -> Verdict:
         low, high = _closure(t, k), _closure(t2, k)
         if _strictly_left_divides(low, high) or _strictly_left_divides(high, low):
             return Verdict.NOT_EQUIVALENT
-    if type(t) is Node and type(t2) is Node:
-        if oracle_equiv(t.right, t2.right, depth) is Verdict.NOT_EQUIVALENT:
-            return Verdict.NOT_EQUIVALENT
-    p, p2 = project(t), project(t2)
-    if (p, p2) != (t, t2):
-        if oracle_equiv(p, p2, depth) is Verdict.NOT_EQUIVALENT:
-            return Verdict.NOT_EQUIVALENT
     return Verdict.UNKNOWN
+
+
+def oracle_equiv(t: Term, t2: Term, depth: int) -> Verdict:
+    """Brute-force equivalence check, independent of the word-based procedures.
+
+    EQUIVALENT comes only from an explicit common expansion within `depth`
+    steps of both terms.  NOT_EQUIVALENT comes only from sound invariants:
+    a right-spine variable profile mismatch, two distinct same-skeleton
+    expansions (distinct terms with one skeleton are never equivalent), a
+    strict iterated-left-divisor witness (no term is equivalent to a proper
+    iterated left subterm of an equivalent term), or a refutation for the
+    iterated right subterms or their one-variable projections.  Anything
+    else is UNKNOWN.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if not same_spine(t, t2):
+        return Verdict.NOT_EQUIVALENT
+    verdict = _search(t, t2, depth)
+    if verdict is not Verdict.UNKNOWN:
+        return verdict
+    # Every letter keeps each iterated right subterm up to equivalence, so a
+    # refutation at any level of the right spine refutes the pair.  Walk down
+    # it until a level is settled; one spine profile makes both members
+    # nodes at every undecided level.
+    p, p2 = project(t), project(t2)
+    one_var = (p, p2) == (t, t2)
+    while True:
+        if not one_var and _search(p, p2, depth) is Verdict.NOT_EQUIVALENT:
+            return Verdict.NOT_EQUIVALENT
+        t, t2, p, p2 = t.right, t2.right, p.right, p2.right
+        verdict = _search(t, t2, depth)
+        if verdict is Verdict.NOT_EQUIVALENT:
+            return verdict
+        if verdict is Verdict.EQUIVALENT:
+            return Verdict.UNKNOWN

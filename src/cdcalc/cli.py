@@ -181,11 +181,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, result, lines = _run(args)
-    except (ParseError, ValueError, OSError, StepBudgetExceeded, SizeLimitExceeded) as exc:
+    except (ParseError, ValueError, OSError, StepBudgetExceeded, SizeLimitExceeded,
+            RecursionError, MemoryError) as exc:
+        message = str(exc) or type(exc).__name__
         if args.json:
-            print(json.dumps({"ok": False, "error": str(exc)}))
+            print(json.dumps({"ok": False, "error": message}))
         else:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps({"ok": True, "result": result}))

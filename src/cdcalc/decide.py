@@ -185,40 +185,35 @@ def parse_multable(text: str) -> MulTable:
     return MulTable(n, g, rows)
 
 
-def check_free(m: MulTable) -> bool:
-    """Freeness criterion for a finite monogenic table: validate the law
-    (error with a witness triple otherwise), then report whether left
-    division a -> a*x is acyclic.  Finiteness forces a cycle, so this is
-    False on every valid finite table; it exists for the criterion itself."""
-    r = range(m.n)
+def _law_violation(table, n: int):
+    """The first triple (x, y, z) with x(yz) != (xy)(yz) in an n x n table,
+    or None.  An unfilled cell (None) violates nothing."""
+    r = range(n)
     for x in r:
         for y in r:
-            xy = m.table[x][y]
+            xy = table[x][y]
+            if xy is None:
+                continue
             for z in r:
-                yz = m.table[y][z]
-                if m.table[x][yz] != m.table[xy][yz]:
-                    raise CDLawViolation((x, y, z))
-    color = [0] * m.n  # 0 unvisited, 1 on stack, 2 done
-    for start in r:
-        if color[start]:
-            continue
-        stack = [(start, 0)]
-        while stack:
-            node, nxt = stack.pop()
-            if nxt == 0:
-                if color[node] == 2:
+                yz = table[y][z]
+                if yz is None:
                     continue
-                color[node] = 1
-            if nxt < m.n:
-                stack.append((node, nxt + 1))
-                succ = m.table[node][nxt]
-                if color[succ] == 1:
-                    return False
-                if color[succ] == 0:
-                    stack.append((succ, 0))
-            else:
-                color[node] = 2
-    return True
+                a, b = table[x][yz], table[xy][yz]
+                if a is not None and b is not None and a != b:
+                    return x, y, z
+    return None
+
+
+def check_free(m: MulTable) -> bool:
+    """Freeness criterion for a finite monogenic table: validate the law
+    (CDLawViolation with a witness triple otherwise), then report whether
+    left division a -> a*x is acyclic.  It never is: the walk a, a*g,
+    (a*g)*g, ... must revisit an element of a finite table, so this is
+    False on every valid table."""
+    witness = _law_violation(m.table, m.n)
+    if witness is not None:
+        raise CDLawViolation(witness)
+    return False
 
 
 def enumerate_cd_tables(n: int):
@@ -227,22 +222,6 @@ def enumerate_cd_tables(n: int):
     class (generator 0, elements numbered in discovery order)."""
     table = [[None] * n for _ in range(n)]
     out = []
-
-    def law_holds() -> bool:
-        for x in range(n):
-            for y in range(n):
-                xy = table[x][y]
-                if xy is None:
-                    continue
-                for z in range(n):
-                    yz = table[y][z]
-                    if yz is None:
-                        continue
-                    a = table[x][yz]
-                    b = table[xy][yz]
-                    if a is not None and b is not None and a != b:
-                        return False
-        return True
 
     def next_cell(k: int):
         for i in range(k):
@@ -261,7 +240,7 @@ def enumerate_cd_tables(n: int):
         limit = k + 1 if k < n else k
         for v in range(limit):
             table[i][j] = v
-            if law_holds():
+            if _law_violation(table, n) is None:
                 search(k + 1 if v == k else k)
             table[i][j] = None
 

@@ -15,8 +15,8 @@ from typing import Optional
 from .action import DEFAULT_MAX_SIZE, apply_letter, apply_word
 from .errors import SizeLimitExceeded
 from .redress import complement, pos_equiv
-from .terms import Node, Term, render_term, right_height
-from .words import Letter, Word, pos_word, positive_addresses, render_word, shift
+from .terms import Node, Term, render_term
+from .words import Letter, Word, pos_word, positive_addresses, render_word
 
 
 def alpha_power(alpha: str, p: int) -> Word:
@@ -42,40 +42,30 @@ def delta(t: Term, max_size: Optional[int] = None) -> Word:
 
 
 def _delta(t: Term, max_size: Optional[int]) -> Word:
-    memo = {}
-    stack = [(t, None)]
+    # Preorder over (subterm, address) pairs, leaves skipped: each letter is
+    # built once, at its final address, and nothing is kept but the output.
+    out = []
+    stack = [(t, "")]
     while stack:
-        term, prepared = stack.pop()
-        if term in memo:
-            continue
-        if prepared is None:
-            h = right_height(term)
-            if h == 0:
-                memo[term] = ()
-                continue
-            # (term)phi^(h-1) is s0*(s1*(...(s_{h-1}*x))) with s_{h-1} the
-            # last left factor of the right spine and s_i = left_i * s_{i+1}
-            children, cur = [], term
-            while type(cur) is Node:
-                children.append(cur.left)
-                cur = cur.right
-            for i in range(h - 2, -1, -1):
-                children[i] = Node(children[i], children[i + 1])
-            if max_size is not None and 1 + sum(c.size for c in children) > max_size:
-                raise SizeLimitExceeded(f"delta spread a term past {max_size} leaves")
-            head = alpha_power("", h - 1)
-            stack.append((term, (head, children)))
-            stack.extend((child, None) for child in children if child not in memo)
-        else:
-            head, children = prepared
-            out = list(head)
-            for i, child in enumerate(children):
-                out.extend(shift("1" * i + "0", memo[child]))
-            if max_size is not None and len(out) > max_size:
-                raise SizeLimitExceeded(
-                    f"delta grew past {max_size} letters, so its expansion passes {max_size} leaves")
-            memo[term] = tuple(out)
-    return memo[t]
+        term, prefix = stack.pop()
+        # (term)phi^(h-1) is s0*(s1*(...(s_{h-1}*x))) with s_{h-1} the last
+        # left factor of the right spine and s_i = left_i * s_{i+1}
+        spreads, cur = [], term
+        while type(cur) is Node:
+            spreads.append(cur.left)
+            cur = cur.right
+        h = len(spreads)
+        for i in range(h - 2, -1, -1):
+            spreads[i] = Node(spreads[i], spreads[i + 1])
+        if max_size is not None and 1 + sum(s.size for s in spreads) > max_size:
+            raise SizeLimitExceeded(f"delta spread a term past {max_size} leaves")
+        out.extend(Letter(prefix + "1" * k, 1) for k in range(h - 2, -1, -1))
+        if max_size is not None and len(out) > max_size:
+            raise SizeLimitExceeded(
+                f"delta grew past {max_size} letters, so its expansion passes {max_size} leaves")
+        stack.extend((spreads[i], prefix + "1" * i + "0")
+                     for i in range(h - 1, -1, -1) if type(spreads[i]) is Node)
+    return tuple(out)
 
 
 def partial(t: Term, max_size: Optional[int] = DEFAULT_MAX_SIZE) -> Term:

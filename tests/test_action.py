@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import pytest
@@ -23,9 +24,11 @@ from cdcalc import (
     parse_word,
     pos_word,
     render_term,
+    right_comb,
     size,
     trace,
 )
+from cdcalc.cli import main
 from helpers import X, injective_upto, one_var_upto, pos_words_st, terms_st
 
 x1, x2, x3, x4 = Leaf(1), Leaf(2), Leaf(3), Leaf(4)
@@ -138,6 +141,26 @@ def test_oracle_examples():
     assert oracle_equiv(x1, x1, 0) is Verdict.EQUIVALENT
     with pytest.raises(ValueError):
         oracle_equiv(x1, x1, -1)
+
+
+def test_oracle_walks_deep_right_spines_without_recursing(capsys):
+    # one spine profile down 1498 levels; the bottom pair x*x, (x*x)*x is
+    # refuted because x*x is a proper left subterm of (x*x)*x
+    deep = (X * X) * X
+    for _ in range(1498):
+        deep = X * deep
+    comb = right_comb(1500)
+    assert main(["--json", "oracle", "--depth", "0", render_term(comb), render_term(deep)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "result": "NotEquivalent"}
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_cli_reports_resource_errors_as_operational(monkeypatch, capsys, exc):
+    def fail(*args):
+        raise exc()
+    monkeypatch.setattr("cdcalc.cli.oracle_equiv", fail)
+    assert main(["--json", "oracle", "--depth", "0", "x1", "x1"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "error": exc.__name__}
 
 
 def test_oracle_respects_expansion_chains():

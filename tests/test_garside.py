@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -15,12 +16,14 @@ from cdcalc import (
     delta_transport,
     expansions,
     lcm,
+    parse_term,
     parse_word,
     partial,
     partial_iter,
     pos_equiv,
     pos_word,
     render_word,
+    right_comb,
     right_height,
     shift,
     subterm,
@@ -72,8 +75,28 @@ def _reference_delta(t):
 
 
 def test_delta_matches_its_definition():
-    for t in labeled_upto(5, 2):
+    # partials and combs share many subterms, each spread at several addresses
+    cases = (list(labeled_upto(5, 2)) + [partial(t) for t in labeled_upto(4, 2)]
+             + [right_comb(p) for p in range(1, 11)])
+    for t in cases:
         assert delta(t) == _reference_delta(t)
+
+
+def test_delta_memory_is_its_output():
+    # delta(partial t) has 6048 letters, yet a memo holding the shifted word
+    # of every spread subterm peaks at ~125 MiB on it
+    t = parse_term("(x1 (((x2 (((x2 (x2 x3)) x2) (x3 (x3 x2)))) x2) (x1 (x3 x1))))")
+    pt = partial(t)
+    tracemalloc.start()
+    try:
+        d = delta(pt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(d) == 6048
+    assert peak < 16 * 2**20
+    with pytest.raises(SizeLimitExceeded):
+        partial_iter(t, 2, max_size=10**4)
 
 
 def test_delta_total_on_small_terms():
