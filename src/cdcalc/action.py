@@ -13,7 +13,6 @@ procedures.
 """
 
 import enum
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .errors import SizeLimitExceeded
@@ -158,34 +157,7 @@ class Verdict(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@lru_cache(maxsize=8192)
-def _closure(t: Term, depth: int) -> frozenset:
-    """All expansions of t reachable in at most `depth` positive steps."""
-    if depth == 0:
-        return frozenset((t,))
-    prev = _closure(t, depth - 1)
-    frontier = prev - _closure(t, depth - 2) if depth >= 2 else prev
-    fresh = set()
-    for s in frontier:
-        for _, e in expansions(s):
-            if e not in prev:
-                fresh.add(e)
-    return prev | fresh
-
-
-@lru_cache(maxsize=8192)
-def _skeleton_map(t: Term, depth: int) -> dict:
-    """skeleton -> term over the depth-closure of t.  Within one equivalence
-    class a skeleton determines the term, so a clash here is a bug."""
-    out = {}
-    for s in _closure(t, depth):
-        key = skeleton(s)
-        if out.setdefault(key, s) != s:
-            raise RuntimeError("two distinct equivalent terms share a skeleton; theory violated")
-    return out
-
-
-def _strictly_left_divides(low: frozenset, high: frozenset) -> bool:
+def _strictly_left_divides(low: set, high: set) -> bool:
     # Witness that some member of `high` has a proper iterated left subterm
     # inside `low`, i.e. low's class strictly left-divides high's class.
     for s in high:
@@ -197,19 +169,31 @@ def _strictly_left_divides(low: frozenset, high: frozenset) -> bool:
     return False
 
 
-def _search(t: Term, t2: Term, depth: int) -> Verdict:
-    # The closure search on one pair, without the spine check or descent.
+def _search(t: Term, t2: Term, depth: int, shape: tuple, shape2: tuple) -> Verdict:
+    # The closure search on one pair with skeletons shape, shape2, without the
+    # spine check or descent.  Each side maps skeleton -> term over the
+    # expansions found so far and grows by one positive step a round; within
+    # one equivalence class a skeleton determines the term, so a clash on one
+    # side is a bug.
     if t == t2:
         return Verdict.EQUIVALENT
+    sides = (({shape: t}, [t]), ({shape2: t2}, [t2]))
     for k in range(depth + 1):
-        a, b = _skeleton_map(t, k), _skeleton_map(t2, k)
-        if len(b) < len(a):
-            a, b = b, a
-        for key, s in a.items():
-            other = b.get(key)
-            if other is not None:
-                return Verdict.EQUIVALENT if s == other else Verdict.NOT_EQUIVALENT
-        low, high = _closure(t, k), _closure(t2, k)
+        for closure, frontier in sides if k else ():  # round 0 is the pair itself
+            fresh = []
+            for s in frontier:
+                for _, e in expansions(s):
+                    old = closure.setdefault(skeleton(e), e)
+                    if old is e:
+                        fresh.append(e)
+                    elif old != e:
+                        raise RuntimeError(
+                            "two distinct equivalent terms share a skeleton; theory violated")
+            frontier[:] = fresh
+        a, b = sides[0][0], sides[1][0]
+        for key in a.keys() & b.keys():  # one shared skeleton settles the pair
+            return Verdict.EQUIVALENT if a[key] == b[key] else Verdict.NOT_EQUIVALENT
+        low, high = set(a.values()), set(b.values())
         if _strictly_left_divides(low, high) or _strictly_left_divides(high, low):
             return Verdict.NOT_EQUIVALENT
     return Verdict.UNKNOWN
@@ -231,20 +215,23 @@ def oracle_equiv(t: Term, t2: Term, depth: int) -> Verdict:
         raise ValueError("depth must be >= 0")
     if not same_spine(t, t2):
         return Verdict.NOT_EQUIVALENT
-    verdict = _search(t, t2, depth)
+    shape, shape2 = skeleton(t), skeleton(t2)
+    verdict = _search(t, t2, depth, shape, shape2)
     if verdict is not Verdict.UNKNOWN:
         return verdict
     # Every letter keeps each iterated right subterm up to equivalence, so a
     # refutation at any level of the right spine refutes the pair.  Walk down
     # it until a level is settled; one spine profile makes both members
-    # nodes at every undecided level.
+    # nodes at every undecided level.  Projections keep the skeletons, and
+    # each level's skeleton is the right half of the one above.
     p, p2 = project(t), project(t2)
     one_var = (p, p2) == (t, t2)
     while True:
-        if not one_var and _search(p, p2, depth) is Verdict.NOT_EQUIVALENT:
+        if not one_var and _search(p, p2, depth, shape, shape2) is Verdict.NOT_EQUIVALENT:
             return Verdict.NOT_EQUIVALENT
         t, t2, p, p2 = t.right, t2.right, p.right, p2.right
-        verdict = _search(t, t2, depth)
+        shape, shape2 = shape[1], shape2[1]
+        verdict = _search(t, t2, depth, shape, shape2)
         if verdict is Verdict.NOT_EQUIVALENT:
             return verdict
         if verdict is Verdict.EQUIVALENT:

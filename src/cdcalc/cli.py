@@ -5,7 +5,9 @@ the shared text formats (terms as s-expressions, words as dotted letters,
 fractions as `N | D`).  Exit codes: 0 for yes/success, 1 for a mathematical
 "no" or an undefined partial result, 2 for any operational error (bad
 syntax, violated precondition, exceeded ceiling).  `--json` wraps every
-answer in the stable envelope {"ok": bool, "result": ...} on stdout.
+answer in the stable envelope {"ok": bool, "result": ...} on stdout.  A
+word that starts with an inverse letter needs `--` before it, as in
+`cdcalc trace -- -e`, or it is read as an option.
 """
 
 import argparse
@@ -129,11 +131,11 @@ def _run(args):
         return 0, rw(out), [rw(out)]
 
     if args.command == "lcm":
-        out = lcm(pw(args.U), pw(args.V))
+        out = lcm(pw(args.U), pw(args.V), budget=budget)
         return 0, rw(out), [rw(out)]
 
     if args.command == "delta":
-        out = delta(pt(args.T))
+        out = delta(pt(args.T), max_size=max_size)
         return 0, rw(out), [rw(out)]
 
     if args.command == "partial":

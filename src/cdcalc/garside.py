@@ -133,8 +133,9 @@ def delta_bound(t: Term, u: Word) -> Word:
     return v
 
 
-def lcm(u: Word, v: Word) -> Word:
+def lcm(u: Word, v: Word, budget: Optional[int] = None) -> Word:
     """The right lcm u.(u\\v) of two positive words; checked against v.(v\\u)."""
-    out = u + complement(u, v)
-    _checked(pos_equiv(out, v + complement(v, u)), "lcm is symmetric")
+    out = u + complement(u, v, budget=budget)
+    symmetric = pos_equiv(out, v + complement(v, u, budget=budget), budget=budget)
+    _checked(symmetric, "lcm is symmetric")
     return out

@@ -137,10 +137,7 @@ def check_cube(a: str, b: str, c: str, budget: Optional[int] = None) -> bool:
     x, y, z = pos_word([a]), pos_word([b]), pos_word([c])
     left = complement(complement(x, y, budget), complement(x, z, budget), budget)
     right = complement(complement(y, x, budget), complement(y, z, budget), budget)
-    return (
-        complement(left, right, budget) == ()
-        and complement(right, left, budget) == ()
-    )
+    return pos_equiv(left, right, budget=budget)
 
 
 def _addresses(maxlen: int):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -26,6 +27,7 @@ from cdcalc import (
     render_term,
     right_comb,
     size,
+    substitute,
     trace,
 )
 from cdcalc.cli import main
@@ -152,6 +154,31 @@ def test_oracle_walks_deep_right_spines_without_recursing(capsys):
     comb = right_comb(1500)
     assert main(["--json", "oracle", "--depth", "0", render_term(comb), render_term(deep)]) == 1
     assert json.loads(capsys.readouterr().out) == {"ok": True, "result": "NotEquivalent"}
+
+
+def test_oracle_refutes_two_levels_down_the_right_spine():
+    # unsettled in one step at the top and at t.right; at t.right.right one
+    # step turns x1(x2x2) into (x1x2)(x2x2), which has the skeleton of
+    # (x1x1)(x2x2) but is another term
+    t = parse_term("((x2 (((x1 x2) x1) x2)) (x2 (x1 (x2 x2))))")
+    t2 = parse_term("((x2 x1) ((x2 x1) ((x1 x1) (x2 x2))))")
+    assert oracle_equiv(t, t2, 1) is Verdict.NOT_EQUIVALENT
+
+
+def test_oracle_keeps_nothing_after_it_returns():
+    # the deep pair of the CLI test above, over x2, which no other call has
+    # seen; each closure search lives only as long as its call
+    deep = (x2 * x2) * x2
+    for _ in range(1498):
+        deep = x2 * deep
+    comb = substitute(right_comb(1500), {1: x2})
+    tracemalloc.start()
+    try:
+        assert oracle_equiv(comb, deep, 0) is Verdict.NOT_EQUIVALENT
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
 
 
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
