@@ -17,54 +17,18 @@ from .action import (
     oracle_equiv,
     trace,
 )
-from .blueprint import blueprint_action_check, chi, chi_star, star
-from .decide import (
-    CDLawViolation,
-    Classification,
-    Comparison,
-    MulTable,
-    check_free,
-    classify,
-    compare,
-    decide,
-    decide_one_var,
-    dil,
-    enumerate_cd_tables,
-    parse_multable,
-)
+from .blueprint import chi, chi_star, star
+from .decide import Classification, Comparison, classify, compare, decide, decide_one_var, dil
 from .errors import ParseError, SizeLimitExceeded, StepBudgetExceeded
 from .freesystem import UNKNOWN, Coset, coset_eq, coset_mul, coset_of_term
-from .garside import (
-    alpha_power,
-    delta,
-    delta_bound,
-    delta_left_factor,
-    delta_transport,
-    lcm,
-    partial,
-    partial_iter,
-)
-from .redress import (
-    Fraction,
-    cd_relations,
-    check_cube,
-    complement,
-    f_cd,
-    group_equiv,
-    nu,
-    pos_equiv,
-    redress,
-)
+from .garside import delta, delta_transport, lcm, partial, partial_iter
+from .redress import Fraction, complement, f_cd, group_equiv, pos_equiv, redress
 from .terms import (
     Leaf,
     Node,
     Term,
     canonicalize,
     first_occurrences,
-    is_canonical,
-    is_injective,
-    left_iter,
-    match,
     parse_term,
     project,
     render_term,
@@ -86,7 +50,6 @@ from .words import (
     Word,
     inverse,
     is_positive,
-    parse_address,
     parse_word,
     pos_word,
     positive_addresses,

@@ -89,6 +89,8 @@ def expansions(t: Term):
 def iter_expansions(t: Term, steps: int):
     """Yield (step count, term) for every distinct expansion reachable from t
     in at most `steps` positive rewrites, breadth first."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     seen = {t}
     level = [t]
     yield 0, t

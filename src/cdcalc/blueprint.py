@@ -8,8 +8,7 @@ trailing inverse block and is convenient when exact transport of words is
 needed rather than transport up to a 0-shifted factor.
 """
 
-from .action import apply_word
-from .terms import Leaf, Node, Term, render_term, right_comb, size, variables
+from .terms import Leaf, Node, Term, render_term, variables
 from .words import Word, inverse, pos_word, shift
 
 PHI = pos_word([""])  # the single-letter word acting at the root
@@ -59,11 +58,3 @@ def chi_star(t: Term) -> Word:
         t = t.right
         depth += 1
     return tuple(out)
-
-
-def blueprint_action_check(t: Term) -> bool:
-    """Verify that the blueprint of t maps x^[p+1] to t*x^[p] with p = size(t)."""
-    require_one_variable(t)
-    p = size(t)
-    image = apply_word(right_comb(p + 1), chi(t))
-    return image == Node(t, right_comb(p))

@@ -23,15 +23,7 @@ from .action import (
     trace,
 )
 from .blueprint import chi, chi_star
-from .decide import (
-    check_free,
-    classify,
-    compare,
-    decide,
-    decide_one_var,
-    dil,
-    parse_multable,
-)
+from .decide import classify, compare, decide, decide_one_var, dil
 from .errors import ParseError, SizeLimitExceeded, StepBudgetExceeded
 from .garside import delta, lcm, partial_iter
 from .redress import DEFAULT_BUDGET, complement, group_equiv, pos_equiv, redress
@@ -46,7 +38,7 @@ def _build_parser():
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE, metavar="N",
-                   help="term size ceiling in leaves (default 10^6)")
+                   help="size ceiling: leaves of a term, letters of a delta word (default 10^6)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
                    help="rewrite step ceiling for redressing (default 10^6)")
     sub = p.add_subparsers(dest="command", required=True)
@@ -79,8 +71,6 @@ def _build_parser():
     cmd("classify", word("W"), help="P_minus / P_zero / P_plus class of a word")
     cmd("compare", term("T"), term("T2"),
         help="Less / Equal / Greater under iterated left division (one-variable)")
-    cmd("checkfree", ("FILE", {"help": "multiplication table file: 'n g' then n rows"}),
-        help="freeness criterion: is left division acyclic")
     c = cmd("oracle", term("T"), term("T2"), help="brute-force equivalence search")
     c.add_argument("--depth", type=int, required=True, help="expansion search depth")
     c = cmd("expand", term("T"), help="enumerate expansions within a step bound")
@@ -159,12 +149,6 @@ def _run(args):
         out = compare(pt(args.T), pt(args.T2), budget=budget)
         return 0, out.value, [out.value]
 
-    if args.command == "checkfree":
-        with open(args.FILE, encoding="utf-8") as fh:
-            table = parse_multable(fh.read())
-        ok = check_free(table)
-        return (0 if ok else 1), ok, ["free" if ok else "not free"]
-
     if args.command == "oracle":
         verdict = oracle_equiv(pt(args.T), pt(args.T2), args.depth)
         code = 0 if verdict is Verdict.EQUIVALENT else 1
@@ -183,7 +167,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, result, lines = _run(args)
-    except (ParseError, ValueError, OSError, StepBudgetExceeded, SizeLimitExceeded,
+    except (ParseError, ValueError, StepBudgetExceeded, SizeLimitExceeded,
             RecursionError, MemoryError) as exc:
         message = str(exc) or type(exc).__name__
         if args.json:

@@ -15,7 +15,6 @@ profiles differ (`same_spine`), in O(n) and without redressing.
 """
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from .action import apply_word
@@ -127,122 +126,3 @@ def compare(t: Term, t2: Term, budget: Optional[int] = None) -> Comparison:
         return Comparison.EQUAL
     return Comparison.LESS if c is Classification.P_PLUS else Comparison.GREATER
 
-
-class CDLawViolation(ValueError):
-    """A multiplication table breaks x(yz) = (xy)(yz); `witness` is (x, y, z)."""
-
-    def __init__(self, witness):
-        x, y, z = witness
-        super().__init__(f"table violates the law at x={x}, y={y}, z={z}")
-        self.witness = witness
-
-
-@dataclass(frozen=True)
-class MulTable:
-    """A finite monogenic binary operation: n elements 0..n-1, a generator,
-    and an n x n table of products."""
-
-    n: int
-    generator: int
-    table: tuple
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("table must have at least one element")
-        if not (0 <= self.generator < self.n):
-            raise ValueError("generator index out of range")
-        if len(self.table) != self.n or any(len(row) != self.n for row in self.table):
-            raise ValueError(f"table must be {self.n}x{self.n}")
-        for row in self.table:
-            for v in row:
-                if not (0 <= v < self.n):
-                    raise ValueError(f"table entry {v} out of range")
-        reached = {self.generator}
-        while True:
-            more = {self.table[a][b] for a in reached for b in reached} - reached
-            if not more:
-                break
-            reached |= more
-        if len(reached) != self.n:
-            raise ValueError("generator does not generate the whole table")
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-
-def parse_multable(text: str) -> MulTable:
-    """Parse the table format: a line `n g`, then n rows of n indices."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty table file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError("header must be 'n g'")
-    n, g = int(header[0]), int(header[1])
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
-    rows = tuple(tuple(int(v) for v in line.split()) for line in lines[1:])
-    return MulTable(n, g, rows)
-
-
-def _law_violation(table, n: int):
-    """The first triple (x, y, z) with x(yz) != (xy)(yz) in an n x n table,
-    or None.  An unfilled cell (None) violates nothing."""
-    r = range(n)
-    for x in r:
-        for y in r:
-            xy = table[x][y]
-            if xy is None:
-                continue
-            for z in r:
-                yz = table[y][z]
-                if yz is None:
-                    continue
-                a, b = table[x][yz], table[xy][yz]
-                if a is not None and b is not None and a != b:
-                    return x, y, z
-    return None
-
-
-def check_free(m: MulTable) -> bool:
-    """Freeness criterion for a finite monogenic table: validate the law
-    (CDLawViolation with a witness triple otherwise), then report whether
-    left division a -> a*x is acyclic.  It never is: the walk a, a*g,
-    (a*g)*g, ... must revisit an element of a finite table, so this is
-    False on every valid table."""
-    witness = _law_violation(m.table, m.n)
-    if witness is not None:
-        raise CDLawViolation(witness)
-    return False
-
-
-def enumerate_cd_tables(n: int):
-    """Exhaustively search the monogenic multiplication tables of size
-    exactly n that satisfy the law, one representative per isomorphism
-    class (generator 0, elements numbered in discovery order)."""
-    table = [[None] * n for _ in range(n)]
-    out = []
-
-    def next_cell(k: int):
-        for i in range(k):
-            for j in range(k):
-                if table[i][j] is None:
-                    return i, j
-        return None
-
-    def search(k: int) -> None:
-        cell = next_cell(k)
-        if cell is None:
-            if k == n:
-                out.append(MulTable(n, 0, tuple(tuple(row) for row in table)))
-            return
-        i, j = cell
-        limit = k + 1 if k < n else k
-        for v in range(limit):
-            table[i][j] = v
-            if _law_violation(table, n) is None:
-                search(k + 1 if v == k else k)
-            table[i][j] = None
-
-    search(1)
-    return out

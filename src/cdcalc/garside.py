@@ -12,16 +12,11 @@ runaway growth into a SizeLimitExceeded error instead of a hang.
 
 from typing import Optional
 
-from .action import DEFAULT_MAX_SIZE, apply_letter, apply_word
+from .action import DEFAULT_MAX_SIZE, apply_word
 from .errors import SizeLimitExceeded
 from .redress import complement, pos_equiv
 from .terms import Node, Term, render_term
-from .words import Letter, Word, pos_word, positive_addresses, render_word
-
-
-def alpha_power(alpha: str, p: int) -> Word:
-    """The descending product a1^(p-1) ... a1.a; the empty word for p <= 0."""
-    return pos_word(alpha + "1" * k for k in range(p - 1, -1, -1))
+from .words import Letter, Word, positive_addresses, render_word
 
 
 def delta(t: Term, max_size: Optional[int] = None) -> Word:
@@ -91,18 +86,6 @@ def _checked(condition: bool, what: str) -> None:
         raise AssertionError(f"postcondition failed: {what}")
 
 
-def delta_left_factor(t: Term, alpha: str) -> Word:
-    """A positive v with alpha.v equivalent to delta(t), given that the
-    letter alpha applies to t.  The postcondition is checked."""
-    if apply_letter(t, Letter(alpha, 1)) is None:
-        raise ValueError(
-            f"letter {render_word(pos_word([alpha]))} does not apply to {render_term(t)}")
-    head = pos_word([alpha])
-    v = complement(head, delta(t))
-    _checked(pos_equiv(head + v, delta(t)), "alpha.v matches delta(t)")
-    return v
-
-
 def delta_transport(t: Term, u: Word) -> Word:
     """A positive u2 with u.delta((t)u) equivalent to delta(t).u2, given
     that u applies to t.  The postcondition is checked."""
@@ -114,23 +97,6 @@ def delta_transport(t: Term, u: Word) -> Word:
     u2 = complement(d, u + d2)
     _checked(pos_equiv(u + d2, d + u2), "delta transport")
     return u2
-
-
-def delta_bound(t: Term, u: Word) -> Word:
-    """A positive v with u.v equivalent to delta(t).delta(partial t)...,
-    one delta factor per letter of u.  The postcondition is checked."""
-    positive_addresses(u)
-    if apply_word(t, u) is None:
-        raise ValueError(f"word {render_word(u)} does not apply to {render_term(t)}")
-    product = ()
-    cur = t
-    for _ in range(len(u)):
-        d = delta(cur)
-        product += d
-        cur = apply_word(cur, d)
-    v = complement(u, product)
-    _checked(pos_equiv(u + v, product), "delta product bound")
-    return v
 
 
 def lcm(u: Word, v: Word, budget: Optional[int] = None) -> Word:

@@ -12,18 +12,8 @@ problems, both exposed here.
 
 from typing import NamedTuple, Optional
 
-from . import action
 from .errors import StepBudgetExceeded
-from .terms import size
-from .words import (
-    Letter,
-    Word,
-    inverse,
-    is_positive,
-    pos_word,
-    positive_addresses,
-    render_word,
-)
+from .words import Letter, Word, inverse, is_positive, positive_addresses, render_word
 
 DEFAULT_BUDGET = 10**6
 
@@ -120,55 +110,3 @@ def group_equiv(w: Word, w2: Word, budget: Optional[int] = None) -> bool:
     redress w^-1.w2 and compare numerator with denominator."""
     fraction = redress(inverse(w) + w2, budget=budget)
     return pos_equiv(fraction.num, fraction.den, budget=budget)
-
-
-def nu(u: Word) -> int:
-    """The grading of a positive word: size difference of its trace pair.
-    Equivalence-invariant, and strictly increased by prepending a letter."""
-    positive_addresses(u)
-    tr = action.trace(u)
-    assert tr is not None, "positive words always have a nonempty operator"
-    return size(tr.right) - size(tr.left)
-
-
-def check_cube(a: str, b: str, c: str, budget: Optional[int] = None) -> bool:
-    """The cube condition on a triple of addresses: the nested complement
-    ((a\\b)\\(a\\c)) \\ ((b\\a)\\(b\\c)) must be empty, in both orientations."""
-    x, y, z = pos_word([a]), pos_word([b]), pos_word([c])
-    left = complement(complement(x, y, budget), complement(x, z, budget), budget)
-    right = complement(complement(y, x, budget), complement(y, z, budget), budget)
-    return pos_equiv(left, right, budget=budget)
-
-
-def _addresses(maxlen: int):
-    out = [""]
-    level = [""]
-    for _ in range(maxlen):
-        level = [a + bit for a in level for bit in "01"]
-        out.extend(level)
-    return out
-
-
-def cd_relations(maxlen: int):
-    """All presentation relation pairs with parameter addresses of length
-    at most maxlen.  Five families; each pair (w, w2) satisfies w == w2 both
-    as operators and in the presented monoid."""
-    if maxlen < 0:
-        raise ValueError("maxlen must be >= 0")
-    addresses = _addresses(maxlen)
-    pairs = []
-    for g in addresses:
-        for a in addresses:
-            for b in addresses:  # orthogonal positions commute
-                pairs.append((pos_word([g + "0" + a, g + "1" + b]),
-                              pos_word([g + "1" + b, g + "0" + a])))
-            # the left subterm is copied to position 00
-            pairs.append((pos_word([g + "0" + a, g]), pos_word([g, g + "00" + a])))
-            # the central factor is duplicated at 01 and 10
-            pairs.append((pos_word([g + "10" + a, g]),
-                          pos_word([g, g + "01" + a, g + "10" + a])))
-            # the right subterm is preserved
-            pairs.append((pos_word([g + "11" + a, g]), pos_word([g, g + "11" + a])))
-        # the characteristic relation of central duplication
-        pairs.append((pos_word([g + "1", g, g + "0"]), pos_word([g, g + "1", g])))
-    return pairs

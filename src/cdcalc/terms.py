@@ -113,17 +113,6 @@ def replace(t: Term, address: str, s: Term) -> Term:
     return out
 
 
-def left_iter(t: Term, i: int):
-    """The i-fold left subterm of t, or None when the left spine is too short."""
-    if i < 0:
-        raise ValueError("left_iter needs i >= 0")
-    for _ in range(i):
-        if type(t) is Leaf:
-            return None
-        t = t.left
-    return t
-
-
 def right_comb(p: int) -> Term:
     """The one-variable right comb of size p: x for p = 1, x*(comb of size p-1) after."""
     if p < 1:
@@ -217,22 +206,6 @@ def skeleton(t: Term):
             work.append((cur.right, False))
             work.append((cur.left, False))
     return out[0]
-
-
-def is_injective(t: Term) -> bool:
-    """True when no variable occurs twice in t."""
-    seen = set()
-    for i in variables(t):
-        if i in seen:
-            return False
-        seen.add(i)
-    return True
-
-
-def is_canonical(t: Term) -> bool:
-    """True when the variables of t, in order of first occurrence, are x1, x2, ..."""
-    occurrences = first_occurrences(t)
-    return occurrences == list(range(1, len(occurrences) + 1))
 
 
 def canonicalize(t: Term) -> Term:
@@ -340,26 +313,6 @@ def _resolve(t, subst):
             work.append((cur.right, False))
             work.append((cur.left, False))
     return out[0]
-
-
-def match(pattern: Term, target: Term):
-    """One-way matching: a substitution h with h(pattern) = target, or None."""
-    bindings = {}
-    stack = [(pattern, target)]
-    while stack:
-        p, t = stack.pop()
-        if type(p) is Leaf:
-            bound = bindings.get(p.index)
-            if bound is None:
-                bindings[p.index] = t
-            elif bound != t:
-                return None
-        elif type(t) is Leaf:
-            return None
-        else:
-            stack.append((p.left, t.left))
-            stack.append((p.right, t.right))
-    return bindings
 
 
 def render_term(t: Term) -> str:

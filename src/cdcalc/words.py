@@ -62,15 +62,6 @@ def render_word(w: Word) -> str:
     return ".".join(("-" if l.sign < 0 else "") + render_address(l.addr) for l in w)
 
 
-def parse_address(text: str) -> str:
-    """Parse a single address: `e` for the root, else a nonempty 01-string."""
-    if text == "e":
-        return ""
-    if text and all(c in "01" for c in text):
-        return text
-    raise ParseError(f"bad address {text!r}: expected 'e' or a nonempty 01-string", 0)
-
-
 def parse_word(text: str) -> Word:
     text = text.strip()
     if text == "eps":

@@ -1,10 +1,10 @@
-"""Shared enumerations, oracles, and hypothesis strategies."""
+"""Shared enumerations, oracles, lemma checkers, and hypothesis strategies."""
 
 from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from cdcalc import Leaf, Letter, Node, expansions, pos_word
+from cdcalc import Leaf, Letter, Node, expansions, first_occurrences, pos_word, variables
 
 X = Leaf(1)
 
@@ -81,6 +81,83 @@ def is_expansion(s, target):
                     nxt.append(e)
         frontier = nxt
     return False
+
+
+def left_iter(t, i):
+    """The i-fold left subterm of t, or None when the left spine is too short."""
+    if i < 0:
+        raise ValueError("left_iter needs i >= 0")
+    for _ in range(i):
+        if type(t) is Leaf:
+            return None
+        t = t.left
+    return t
+
+
+def is_injective(t):
+    """True when no variable occurs twice in t."""
+    indices = list(variables(t))
+    return len(indices) == len(set(indices))
+
+
+def is_canonical(t):
+    """True when the variables of t, in order of first occurrence, are x1, x2, ..."""
+    occurrences = first_occurrences(t)
+    return occurrences == list(range(1, len(occurrences) + 1))
+
+
+def match(pattern, target):
+    """One-way matching: a substitution h with h(pattern) = target, or None."""
+    bindings = {}
+    stack = [(pattern, target)]
+    while stack:
+        p, t = stack.pop()
+        if type(p) is Leaf:
+            bound = bindings.get(p.index)
+            if bound is None:
+                bindings[p.index] = t
+            elif bound != t:
+                return None
+        elif type(t) is Leaf:
+            return None
+        else:
+            stack.append((p.left, t.left))
+            stack.append((p.right, t.right))
+    return bindings
+
+
+def _addresses(maxlen):
+    out = [""]
+    level = [""]
+    for _ in range(maxlen):
+        level = [a + bit for a in level for bit in "01"]
+        out.extend(level)
+    return out
+
+
+def cd_relations(maxlen):
+    """All presentation relation pairs with parameter addresses of length
+    at most maxlen.  Five families; each pair (w, w2) satisfies w == w2 both
+    as operators and in the presented monoid."""
+    if maxlen < 0:
+        raise ValueError("maxlen must be >= 0")
+    addresses = _addresses(maxlen)
+    pairs = []
+    for g in addresses:
+        for a in addresses:
+            for b in addresses:  # orthogonal positions commute
+                pairs.append((pos_word([g + "0" + a, g + "1" + b]),
+                              pos_word([g + "1" + b, g + "0" + a])))
+            # the left subterm is copied to position 00
+            pairs.append((pos_word([g + "0" + a, g]), pos_word([g, g + "00" + a])))
+            # the central factor is duplicated at 01 and 10
+            pairs.append((pos_word([g + "10" + a, g]),
+                          pos_word([g, g + "01" + a, g + "10" + a])))
+            # the right subterm is preserved
+            pairs.append((pos_word([g + "11" + a, g]), pos_word([g, g + "11" + a])))
+        # the characteristic relation of central duplication
+        pairs.append((pos_word([g + "1", g, g + "0"]), pos_word([g, g + "1", g])))
+    return pairs
 
 
 addresses_st = st.text(alphabet="01", max_size=4)

@@ -14,12 +14,8 @@ from cdcalc import (
     apply_letter,
     apply_word,
     apply_word_partial,
-    cd_relations,
     expansions,
-    is_canonical,
-    is_injective,
     iter_expansions,
-    match,
     oracle_equiv,
     parse_term,
     parse_word,
@@ -31,7 +27,17 @@ from cdcalc import (
     trace,
 )
 from cdcalc.cli import main
-from helpers import X, injective_upto, one_var_upto, pos_words_st, terms_st
+from helpers import (
+    X,
+    cd_relations,
+    injective_upto,
+    is_canonical,
+    is_injective,
+    match,
+    one_var_upto,
+    pos_words_st,
+    terms_st,
+)
 
 x1, x2, x3, x4 = Leaf(1), Leaf(2), Leaf(3), Leaf(4)
 

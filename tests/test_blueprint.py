@@ -6,17 +6,20 @@ from hypothesis import given, settings
 from cdcalc import (
     Leaf,
     Letter,
-    blueprint_action_check,
+    Node,
+    apply_word,
     chi,
     chi_star,
     group_equiv,
     parse_word,
     pos_word,
     render_word,
+    right_comb,
     shift,
     star,
+    trace,
 )
-from helpers import X, one_var_upto, one_var_term_st
+from helpers import X, cd_relations, one_var_upto, one_var_term_st
 
 x = X
 
@@ -50,6 +53,12 @@ def test_chi_is_star_homomorphism():
     for t in one_var_upto(6):
         for t2 in one_var_upto(3):
             assert chi(t * t2) == star(chi(t), chi(t2))
+
+
+def blueprint_action_check(t):
+    """The blueprint of t maps x^[p+1] to t*x^[p] with p = size(t)."""
+    p = t.size
+    return apply_word(right_comb(p + 1), chi(t)) == Node(t, right_comb(p))
 
 
 def test_blueprint_action_small():
@@ -119,8 +128,6 @@ def test_star_group_identities():
 
 def test_positive_word_equivalence_matches_traces_via_group():
     # for positive words, group equivalence coincides with operator equality
-    from cdcalc import cd_relations, trace
-
     rng = random.Random(9)
     addrs = ["", "0", "1", "10"]
     for u, v in cd_relations(1)[:40]:

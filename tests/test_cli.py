@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from cdcalc.cli import main
+from cdcalc.cli import _build_parser, main
 
 T3 = "(x1 (x1 x1))"
 T3_EXPANDED = "((x1 x1) (x1 x1))"
@@ -33,7 +34,6 @@ CASES = [
     (["dil", "1", "e"], 0, 2),
     (["classify", "--", "-e.0"], 0, "P_minus"),
     (["compare", "(x1 x1)", "((x1 x1) x1)"], 0, "Less"),
-    (["checkfree", "TABLE"], 1, False),
     (["oracle", "--depth", "1", T3, T3_EXPANDED], 0, "Equivalent"),
     (["oracle", "--depth", "1", "(x1 x2)", "(x2 x1)"], 1, "NotEquivalent"),
     (["expand", "--steps", "1", T3], 0,
@@ -42,12 +42,22 @@ CASES = [
 
 
 @pytest.mark.parametrize("args, code, result", CASES, ids=[f"{c[0][0]}-{c[1]}" for c in CASES])
-def test_every_subcommand_answers_in_the_envelope(tmp_path, capsys, args, code, result):
-    table = tmp_path / "one.txt"
-    table.write_text("1 0\n0\n")  # the one-element table, never free
-    args = [str(table) if a == "TABLE" else a for a in args]
+def test_every_subcommand_answers_in_the_envelope(capsys, args, code, result):
     assert main(["--json", *args]) == code
     assert json.loads(capsys.readouterr().out) == {"ok": True, "result": result}
+
+
+def test_every_subcommand_has_a_case():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {args[0] for args, _, _ in CASES}
+
+
+def test_the_table_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--json", "checkfree", "table.txt"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "invalid choice" in message and "checkfree" in message
 
 
 def test_a_leading_inverse_letter_needs_a_separator(capsys):
@@ -61,6 +71,7 @@ def test_a_leading_inverse_letter_needs_a_separator(capsys):
     (["--max-size", "3", "delta", "(x1 (x1 (x1 (x1 x1))))"], "delta spread a term past 3 leaves"),
     (["--budget", "1", "lcm", "0", "1.e"],
      "redressing stopped at its budget after 1 steps; the word has 3 letters, the input had 3"),
+    (["expand", "--steps", "-1", T3], "steps must be >= 0"),
 ])
 def test_ceilings_end_in_the_error_envelope(capsys, args, error):
     assert main(["--json", *args]) == 2

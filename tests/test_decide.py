@@ -2,38 +2,27 @@ import json
 import random
 import sys
 import time
-from itertools import product
 
 import pytest
 
 from cdcalc import (
-    CDLawViolation,
     Classification,
     Comparison,
     Leaf,
     Letter,
-    MulTable,
     Node,
     Verdict,
     apply_letter,
-    apply_word,
-    cd_relations,
-    check_free,
-    chi,
     classify,
     compare,
     decide,
     decide_one_var,
     dil,
-    enumerate_cd_tables,
     expansions,
     inverse,
-    left_iter,
     oracle_equiv,
-    parse_multable,
     parse_term,
     parse_word,
-    pos_word,
     right_comb,
     same_spine,
     shift,
@@ -42,7 +31,15 @@ from cdcalc import (
     variables,
 )
 from cdcalc.cli import main
-from helpers import X, is_expansion, labeled_terms, labeled_upto, one_var_upto
+from helpers import (
+    X,
+    cd_relations,
+    is_expansion,
+    labeled_terms,
+    labeled_upto,
+    left_iter,
+    one_var_upto,
+)
 
 x = X
 
@@ -305,35 +302,67 @@ def test_star_makes_elements_strictly_larger():
         assert classify(inverse(u) + star(u, v)) is Classification.P_PLUS
 
 
-def test_multable_parse_and_validation():
-    m = parse_multable("2 0\n1 1\n1 1\n")
-    assert m.n == 2 and m.generator == 0 and m.mul(0, 0) == 1
-    with pytest.raises(ValueError):
-        parse_multable("2 0\n0 0\n0 0\n")  # 1 is unreachable
-    with pytest.raises(ValueError):
-        parse_multable("2 0\n2 0\n0 0\n")  # entry out of range
-    with pytest.raises(ValueError):
-        parse_multable("2 3\n0 0\n0 0\n")  # generator out of range
-    with pytest.raises(ValueError):
-        parse_multable("2 0\n0 0\n")  # wrong row count
+def _law_violation(table, n):
+    """The first triple (x, y, z) with x(yz) != (xy)(yz) in an n x n table,
+    or None.  An unfilled cell (None) violates nothing."""
+    r = range(n)
+    for x in r:
+        for y in r:
+            xy = table[x][y]
+            if xy is None:
+                continue
+            for z in r:
+                yz = table[y][z]
+                if yz is None:
+                    continue
+                a, b = table[x][yz], table[xy][yz]
+                if a is not None and b is not None and a != b:
+                    return x, y, z
+    return None
 
 
-def test_check_free_examples():
-    one = MulTable(1, 0, ((0,),))
-    assert check_free(one) is False  # self loop
-    bad = MulTable(2, 0, ((1, 1), (0, 0)))
-    with pytest.raises(CDLawViolation) as err:
-        check_free(bad)
-    assert len(err.value.witness) == 3
+def enumerate_cd_tables(n):
+    """Exhaustively search the monogenic multiplication tables of size
+    exactly n that satisfy the law, one representative per isomorphism
+    class (generator 0, elements numbered in discovery order), as tuples
+    of rows."""
+    table = [[None] * n for _ in range(n)]
+    out = []
+
+    def next_cell(k):
+        for i in range(k):
+            for j in range(k):
+                if table[i][j] is None:
+                    return i, j
+        return None
+
+    def search(k):
+        cell = next_cell(k)
+        if cell is None:
+            if k == n:
+                out.append(tuple(tuple(row) for row in table))
+            return
+        i, j = cell
+        limit = k + 1 if k < n else k
+        for v in range(limit):
+            table[i][j] = v
+            if _law_violation(table, n) is None:
+                search(k + 1 if v == k else k)
+            table[i][j] = None
+
+    search(1)
+    return out
 
 
-def test_all_small_cd_tables_are_unfree():
+def test_finite_monogenic_models_exist():
+    # the law has finite monogenic models; none is free, since left division
+    # is acyclic in the free rank-1 system (see
+    # test_left_divisors_are_strictly_smaller) and a walk a, a*g, (a*g)*g,
+    # ... in a finite table must cycle
     total = 0
     for n in range(1, 5):
         tables = enumerate_cd_tables(n)
         assert tables, f"no monogenic tables of size {n} found"
-        for m in tables:
-            assert check_free(m) is False
         total += len(tables)
     assert total > 200
 
@@ -343,5 +372,5 @@ def test_enumerated_tables_satisfy_the_law():
         for a in range(3):
             for b in range(3):
                 for c in range(3):
-                    bc = m.mul(b, c)
-                    assert m.mul(a, bc) == m.mul(m.mul(a, b), bc)
+                    bc = m[b][c]
+                    assert m[a][bc] == m[m[a][b]][bc]

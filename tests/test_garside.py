@@ -1,18 +1,14 @@
 import tracemalloc
-from itertools import product
 
 import pytest
 
 from cdcalc import (
-    Leaf,
     Letter,
     SizeLimitExceeded,
-    alpha_power,
     apply_letter,
     apply_word,
+    complement,
     delta,
-    delta_bound,
-    delta_left_factor,
     delta_transport,
     expansions,
     lcm,
@@ -31,6 +27,36 @@ from cdcalc import (
 from helpers import X, is_expansion, labeled_upto, one_var_upto
 
 x = X
+
+
+def alpha_power(alpha, p):
+    """The descending product a1^(p-1) ... a1.a; the empty word for p <= 0."""
+    return pos_word(alpha + "1" * k for k in range(p - 1, -1, -1))
+
+
+def delta_left_factor(t, alpha):
+    """A positive v with alpha.v equivalent to delta(t), given that the
+    letter alpha applies to t."""
+    if apply_letter(t, Letter(alpha, 1)) is None:
+        raise ValueError(f"letter at {alpha!r} does not apply")
+    head = pos_word([alpha])
+    v = complement(head, delta(t))
+    assert pos_equiv(head + v, delta(t)), "alpha.v matches delta(t)"
+    return v
+
+
+def delta_bound(t, u):
+    """A positive v with u.v equivalent to delta(t).delta(partial t)...,
+    one delta factor per letter of u, given that u applies to t."""
+    assert apply_word(t, u) is not None
+    product, cur = (), t
+    for _ in u:
+        d = delta(cur)
+        product += d
+        cur = apply_word(cur, d)
+    v = complement(u, product)
+    assert pos_equiv(u + v, product), "delta product bound"
+    return v
 
 
 def test_alpha_power():

@@ -7,16 +7,12 @@ from hypothesis import given, settings
 
 from cdcalc import (
     Fraction,
-    Leaf,
     StepBudgetExceeded,
     apply_word,
-    cd_relations,
-    check_cube,
     complement,
     f_cd,
     group_equiv,
     inverse,
-    nu,
     parse_word,
     pos_equiv,
     pos_word,
@@ -25,7 +21,7 @@ from cdcalc import (
     trace,
 )
 from cdcalc.cli import main
-from helpers import pos_words_st, terms_st, words_st
+from helpers import cd_relations, pos_words_st, terms_st, words_st
 
 
 def test_f_cd_table():
@@ -124,6 +120,23 @@ def test_group_equiv_examples():
 @given(words_st)
 def test_group_equiv_reflexive(w):
     assert group_equiv(w, w)
+
+
+def nu(u):
+    """The grading of a positive word: size difference of its trace pair.
+    Equivalence-invariant, and strictly increased by prepending a letter."""
+    tr = trace(u)
+    assert tr is not None, "positive words always have a nonempty operator"
+    return tr.right.size - tr.left.size
+
+
+def check_cube(a, b, c):
+    """The cube condition on a triple of addresses: the nested complement
+    ((a\\b)\\(a\\c)) \\ ((b\\a)\\(b\\c)) must be empty, in both orientations."""
+    x, y, z = pos_word([a]), pos_word([b]), pos_word([c])
+    left = complement(complement(x, y), complement(x, z))
+    right = complement(complement(y, x), complement(y, z))
+    return pos_equiv(left, right)
 
 
 def test_nu_values():

@@ -6,10 +6,6 @@ from cdcalc import (
     Node,
     ParseError,
     canonicalize,
-    is_canonical,
-    is_injective,
-    left_iter,
-    match,
     parse_term,
     project,
     render_term,
@@ -22,7 +18,15 @@ from cdcalc import (
     subterm,
     unify,
 )
-from helpers import injective_upto, labeled_terms, terms_st
+from helpers import (
+    injective_upto,
+    is_canonical,
+    is_injective,
+    labeled_terms,
+    left_iter,
+    match,
+    terms_st,
+)
 
 x1, x2, x3, x4 = Leaf(1), Leaf(2), Leaf(3), Leaf(4)
 
