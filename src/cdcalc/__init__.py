@@ -18,9 +18,9 @@ from .action import (
     trace,
 )
 from .blueprint import chi, chi_star, star
-from .decide import Classification, Comparison, classify, compare, decide, decide_one_var, dil
+from .decide import Classification, Comparison, classify, compare, decide, dil
 from .errors import ParseError, SizeLimitExceeded, StepBudgetExceeded
-from .freesystem import UNKNOWN, Coset, coset_eq, coset_mul, coset_of_term
+from .freesystem import Coset, coset_eq, coset_mul, coset_of_term
 from .garside import delta, delta_transport, lcm, partial, partial_iter
 from .redress import Fraction, complement, f_cd, group_equiv, pos_equiv, redress
 from .terms import (

@@ -154,9 +154,15 @@ def trace(w: Word) -> Optional[Trace]:
 
 
 class Verdict(enum.Enum):
+    """A three-valued answer to an equivalence question.  It is never read
+    as a bool, so Unknown cannot pass for a "no"; compare with `is`."""
+
     EQUIVALENT = "Equivalent"
     NOT_EQUIVALENT = "NotEquivalent"
     UNKNOWN = "Unknown"
+
+    def __bool__(self):
+        raise TypeError(f"the verdict {self.value} cannot be coerced to a boolean")
 
 
 def _strictly_left_divides(low: set, high: set) -> bool:
@@ -211,30 +217,34 @@ def oracle_equiv(t: Term, t2: Term, depth: int) -> Verdict:
     strict iterated-left-divisor witness (no term is equivalent to a proper
     iterated left subterm of an equivalent term), or a refutation for the
     iterated right subterms or their one-variable projections.  Anything
-    else is UNKNOWN.
+    else is Unknown.
+
+    The depth is swept: for d = 0, 1, ..., depth a pass walks the right
+    spine from the top and searches every level pair (and, with several
+    variables, its projections) at depth d, so a pair refuted cheaply deep
+    down is never searched at full depth above.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if not same_spine(t, t2):
         return Verdict.NOT_EQUIVALENT
-    shape, shape2 = skeleton(t), skeleton(t2)
-    verdict = _search(t, t2, depth, shape, shape2)
-    if verdict is not Verdict.UNKNOWN:
-        return verdict
     # Every letter keeps each iterated right subterm up to equivalence, so a
-    # refutation at any level of the right spine refutes the pair.  Walk down
-    # it until a level is settled; one spine profile makes both members
-    # nodes at every undecided level.  Projections keep the skeletons, and
-    # each level's skeleton is the right half of the one above.
+    # refutation at any level of the right spine refutes the pair.  One spine
+    # profile makes both members nodes at every undecided level.  Projections
+    # keep the skeletons, and each level's skeleton is the right half of the
+    # one above.
     p, p2 = project(t), project(t2)
     one_var = (p, p2) == (t, t2)
-    while True:
-        if not one_var and _search(p, p2, depth, shape, shape2) is Verdict.NOT_EQUIVALENT:
-            return Verdict.NOT_EQUIVALENT
-        t, t2, p, p2 = t.right, t2.right, p.right, p2.right
-        shape, shape2 = shape[1], shape2[1]
-        verdict = _search(t, t2, depth, shape, shape2)
-        if verdict is Verdict.NOT_EQUIVALENT:
-            return verdict
-        if verdict is Verdict.EQUIVALENT:
-            return Verdict.UNKNOWN
+    shape, shape2 = skeleton(t), skeleton(t2)
+    for d in range(depth + 1):
+        s, s2, q, q2, sh, sh2 = t, t2, p, p2, shape, shape2
+        while True:
+            verdict = _search(s, s2, d, sh, sh2)
+            if verdict is Verdict.EQUIVALENT and s is not t:
+                break  # the deeper levels of an equivalent pair are equivalent
+            if verdict is not Verdict.UNKNOWN:
+                return verdict
+            if not one_var and _search(q, q2, d, sh, sh2) is Verdict.NOT_EQUIVALENT:
+                return Verdict.NOT_EQUIVALENT
+            s, s2, q, q2, sh, sh2 = s.right, s2.right, q.right, q2.right, sh[1], sh2[1]
+    return Verdict.UNKNOWN

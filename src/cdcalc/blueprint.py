@@ -14,7 +14,7 @@ from .words import Word, inverse, pos_word, shift
 PHI = pos_word([""])  # the single-letter word acting at the root
 
 
-def require_one_variable(t: Term) -> None:
+def _require_one_variable(t: Term) -> None:
     """Raise ValueError unless every leaf of t is x1."""
     if any(i != 1 for i in variables(t)):
         raise ValueError(f"one-variable term required (all leaves x1): {render_term(t)}")
@@ -29,7 +29,7 @@ def star(u: Word, v: Word) -> Word:
 def chi(t: Term) -> Word:
     """The blueprint of a one-variable term; the unique homomorphism into
     words under star that sends x to the empty word."""
-    require_one_variable(t)
+    _require_one_variable(t)
     memo = {}
     stack = [t]
     while stack:
@@ -50,7 +50,7 @@ def chi(t: Term) -> Word:
 def chi_star(t: Term) -> Word:
     """The positive-friendly blueprint: chi(t0) . 1 chi_star(t1), unrolled
     down the right spine."""
-    require_one_variable(t)
+    _require_one_variable(t)
     out = []
     depth = 0
     while type(t) is Node:

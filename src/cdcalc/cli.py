@@ -4,7 +4,8 @@ Every decision procedure and construction is exposed as a subcommand over
 the shared text formats (terms as s-expressions, words as dotted letters,
 fractions as `N | D`).  Exit codes: 0 for yes/success, 1 for a mathematical
 "no" or an undefined partial result, 2 for any operational error (bad
-syntax, violated precondition, exceeded ceiling).  `--json` wraps every
+syntax, violated precondition, exceeded ceiling), 3 for an Unknown verdict
+of the depth-bounded `oracle`.  `--json` wraps every
 answer in the stable envelope {"ok": bool, "result": ...} on stdout.  A
 word that starts with an inverse letter needs `--` before it, as in
 `cdcalc trace -- -e`, or it is read as an option.
@@ -23,7 +24,7 @@ from .action import (
     trace,
 )
 from .blueprint import chi, chi_star
-from .decide import classify, compare, decide, decide_one_var, dil
+from .decide import classify, compare, decide, dil
 from .errors import ParseError, SizeLimitExceeded, StepBudgetExceeded
 from .garside import delta, lcm, partial_iter
 from .redress import DEFAULT_BUDGET, complement, group_equiv, pos_equiv, redress
@@ -53,7 +54,6 @@ def _build_parser():
     word = lambda name: (name, {"help": f"word {name}"})
 
     cmd("decide", term("T"), term("T2"), help="are two terms equivalent under the identity")
-    cmd("decide1", term("T"), term("T2"), help="one-variable equivalence via classification")
     cmd("apply", term("T"), word("W"), help="apply a word of rewriting letters to a term")
     cmd("trace", word("W"), help="canonical term pair of the operator, or 'empty'")
     cmd("redress", word("W"), help="fraction form N | D of a word")
@@ -86,10 +86,6 @@ def _run(args):
 
     if args.command == "decide":
         ok = decide(pt(args.T), pt(args.T2), budget=budget)
-        return (0 if ok else 1), ok, ["equivalent" if ok else "not equivalent"]
-
-    if args.command == "decide1":
-        ok = decide_one_var(pt(args.T), pt(args.T2), budget=budget)
         return (0 if ok else 1), ok, ["equivalent" if ok else "not equivalent"]
 
     if args.command == "apply":
@@ -151,7 +147,7 @@ def _run(args):
 
     if args.command == "oracle":
         verdict = oracle_equiv(pt(args.T), pt(args.T2), args.depth)
-        code = 0 if verdict is Verdict.EQUIVALENT else 1
+        code = {Verdict.EQUIVALENT: 0, Verdict.NOT_EQUIVALENT: 1, Verdict.UNKNOWN: 3}[verdict]
         return code, verdict.value, [verdict.value]
 
     if args.command == "expand":

@@ -5,20 +5,20 @@ subterm: applying u to t sends left^i(t) to an expansion sitting at
 left^dil(i,u) of the image.  Only letters at addresses 0^p with p < i
 deepen the left spine.  Comparing dil(1, -) of the numerator and denominator
 of a redressed word is invariant under equivalence and classifies group
-elements into P_minus / P_zero / P_plus; a blueprint difference lies in
-P_zero exactly when the two terms are equivalent, which decides the word
-problem, first for one-variable terms and then in general by projecting
-and comparing one explicit pair of expansions.
+elements into P_minus / P_zero / P_plus; the blueprint difference of two
+one-variable terms lies in P_zero exactly when they are equivalent.
 
-Before any of that, both decisions refute pairs whose right-spine
-profiles differ (`same_spine`), in O(n) and without redressing.
+`decide` answers every term-equivalence question along one pipeline: a
+right-spine reject in O(n), the class of the blueprint difference of the
+one-variable projections, then one literal comparison of the expansions
+its fraction builds.
 """
 
 import enum
 from typing import Optional
 
 from .action import apply_word
-from .blueprint import chi, require_one_variable
+from .blueprint import chi
 from .redress import Fraction, redress
 from .terms import Node, Term, project, right_comb, same_spine
 from .words import Word, inverse, positive_addresses
@@ -59,26 +59,6 @@ def classify(w: Word, budget: Optional[int] = None) -> Classification:
     return _classify_fraction(redress(w, budget=budget))
 
 
-def _p_zero_fraction(t: Term, t2: Term, budget: Optional[int]) -> Optional[Fraction]:
-    # The pipeline shared by decide and decide_one_var: spine reject, then
-    # the blueprint difference of the projections, redressed and classified.
-    # None refutes the pair; otherwise the P_zero fraction is returned.
-    if not same_spine(t, t2):
-        return None
-    fraction = redress(inverse(chi(project(t))) + chi(project(t2)), budget=budget)
-    if _classify_fraction(fraction) is not Classification.P_ZERO:
-        return None
-    return fraction
-
-
-def decide_one_var(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
-    """Equivalence of one-variable terms: equal right heights, and the
-    blueprint difference must classify as P_zero."""
-    require_one_variable(t)
-    require_one_variable(t2)
-    return _p_zero_fraction(t, t2, budget) is not None
-
-
 def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     """Equivalence of arbitrary terms.
 
@@ -102,8 +82,10 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     terms with one skeleton are never equivalent.  Every "yes" rests on
     that comparison.
     """
-    fraction = _p_zero_fraction(t, t2, budget)
-    if fraction is None:
+    if not same_spine(t, t2):
+        return False
+    fraction = redress(inverse(chi(project(t))) + chi(project(t2)), budget=budget)
+    if _classify_fraction(fraction) is not Classification.P_ZERO:
         return False
     p = max(t.size, t2.size)
     a = apply_word(Node(t, right_comb(p)), fraction.num)

@@ -7,7 +7,7 @@ by a representative word, normally a blueprint, in which case the
 originating term is kept alongside: equality of blueprint cosets reduces
 to equivalence of the terms.  For cosets of unknown origin only a
 necessary criterion is available (the representative difference must
-classify as P_zero), so equality may honestly come out Unknown.
+classify as P_zero), so equality may honestly come out `Verdict.UNKNOWN`.
 
 Collapsing the 0-shifted letters as a normal subgroup instead would
 trivialize everything: the characteristic relation g.1g.g = 1g.g.0g
@@ -18,23 +18,11 @@ groups, are the right home for the operation.
 from dataclasses import dataclass
 from typing import Optional
 
+from .action import Verdict
 from .blueprint import chi, star
-from .decide import Classification, classify, decide_one_var
+from .decide import Classification, classify, decide
 from .terms import Node, Term
 from .words import Word, inverse
-
-
-class _Unknown:
-    """Verdict for an equality question the calculus does not settle."""
-
-    def __repr__(self):
-        return "Unknown"
-
-    def __bool__(self):
-        raise TypeError("Unknown verdict cannot be coerced to a boolean")
-
-
-UNKNOWN = _Unknown()
 
 
 @dataclass(frozen=True)
@@ -57,12 +45,12 @@ def coset_mul(a: Coset, b: Coset) -> Coset:
     return Coset(star(a.rep, b.rep), origin)
 
 
-def coset_eq(a: Coset, b: Coset):
+def coset_eq(a: Coset, b: Coset) -> Verdict:
     """Equality of cosets: decided through the terms when both origins are
-    known; otherwise False when the representative difference is not
-    P_zero, and UNKNOWN when it is (necessary, not known sufficient)."""
+    known; otherwise NOT_EQUIVALENT when the representative difference is
+    not P_zero, and Unknown when it is (necessary, not known sufficient)."""
     if a.origin is not None and b.origin is not None:
-        return decide_one_var(a.origin, b.origin)
+        return Verdict.EQUIVALENT if decide(a.origin, b.origin) else Verdict.NOT_EQUIVALENT
     if classify(inverse(a.rep) + b.rep) is not Classification.P_ZERO:
-        return False
-    return UNKNOWN
+        return Verdict.NOT_EQUIVALENT
+    return Verdict.UNKNOWN

@@ -55,7 +55,7 @@ class Leaf(Term):
     __slots__ = ("index", "size", "_hash")
 
     def __init__(self, index):
-        if not isinstance(index, int) or index < 1:
+        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
             raise ValueError(f"variable index must be a positive integer, got {index!r}")
         self.index = index
         self.size = 1

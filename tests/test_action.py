@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from itertools import product
 
@@ -160,6 +161,17 @@ def test_oracle_walks_deep_right_spines_without_recursing(capsys):
     comb = right_comb(1500)
     assert main(["--json", "oracle", "--depth", "0", render_term(comb), render_term(deep)]) == 1
     assert json.loads(capsys.readouterr().out) == {"ok": True, "result": "NotEquivalent"}
+
+
+def test_oracle_sweeps_the_depth_before_searching_deep():
+    # depth 0 refutes the bottom pair x*x, (x*x)*x at once; a search at
+    # depth 2 on each of the 59 levels above it would take seconds
+    deep = (X * X) * X
+    for _ in range(58):
+        deep = X * deep
+    start = time.perf_counter()
+    assert oracle_equiv(right_comb(60), deep, 2) is Verdict.NOT_EQUIVALENT
+    assert time.perf_counter() - start < 0.5
 
 
 def test_oracle_refutes_two_levels_down_the_right_spine():

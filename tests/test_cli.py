@@ -13,8 +13,6 @@ T3_EXPANDED = "((x1 x1) (x1 x1))"
 CASES = [
     (["decide", T3, T3_EXPANDED], 0, True),
     (["decide", "(x1 x2)", "(x2 x1)"], 1, False),
-    (["decide1", T3, T3_EXPANDED], 0, True),
-    (["decide1", "(x1 x1)", "((x1 x1) x1)"], 1, False),
     (["apply", "(x1 (x2 x3))", "e"], 0, {"defined": True, "term": "((x1 x2) (x2 x3))"}),
     (["apply", "(x1 x2)", "e"], 1, {"defined": False, "step": 0}),
     (["trace", "e"], 0, {"left": "(x1 (x2 x3))", "right": "((x1 x2) (x2 x3))"}),
@@ -36,6 +34,7 @@ CASES = [
     (["compare", "(x1 x1)", "((x1 x1) x1)"], 0, "Less"),
     (["oracle", "--depth", "1", T3, T3_EXPANDED], 0, "Equivalent"),
     (["oracle", "--depth", "1", "(x1 x2)", "(x2 x1)"], 1, "NotEquivalent"),
+    (["oracle", "--depth", "0", T3, T3_EXPANDED], 3, "Unknown"),
     (["expand", "--steps", "1", T3], 0,
      [{"steps": 0, "term": T3}, {"steps": 1, "term": T3_EXPANDED}]),
 ]
@@ -53,11 +52,13 @@ def test_every_subcommand_has_a_case():
 
 
 def test_the_table_subcommand_is_gone(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["--json", "checkfree", "table.txt"])
-    assert err.value.code == 2
-    message = capsys.readouterr().err
-    assert "invalid choice" in message and "checkfree" in message
+    # and so is the one-variable duplicate of decide
+    for args in (["checkfree", "table.txt"], ["decide1", T3, T3_EXPANDED]):
+        with pytest.raises(SystemExit) as err:
+            main(["--json", *args])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "invalid choice" in message and args[0] in message
 
 
 def test_a_leading_inverse_letter_needs_a_separator(capsys):

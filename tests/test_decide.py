@@ -16,7 +16,6 @@ from cdcalc import (
     classify,
     compare,
     decide,
-    decide_one_var,
     dil,
     expansions,
     inverse,
@@ -110,13 +109,11 @@ def test_classification_invariant_under_relation_substitution():
         assert classify(prefix + (a, a.inverse()) + suffix) == classify(prefix + suffix)
 
 
-def test_decide_one_var_examples():
-    assert decide_one_var(x * (x * x), (x * x) * (x * x))
-    assert not decide_one_var(x, x * x)
+def test_decide_one_variable_examples():
+    assert decide(x * (x * x), (x * x) * (x * x))
+    assert not decide(x, x * x)
     for t in one_var_upto(4):
-        assert decide_one_var(t, t)
-    with pytest.raises(ValueError):
-        decide_one_var(Leaf(2), Leaf(2))
+        assert decide(t, t)
 
 
 def test_decide_examples():
@@ -179,7 +176,6 @@ def test_known_32_leaf_pair_is_refuted_fast(capsys):
     t, t2 = (parse_term(s) for s in KNOWN_32)
     start = time.perf_counter()
     assert decide(t, t2) is False
-    assert decide_one_var(t, t2) is False
     assert time.perf_counter() - start < 0.5
     assert main(["--json", "decide", *KNOWN_32]) == 1
     assert json.loads(capsys.readouterr().out) == {"ok": True, "result": False}
@@ -193,11 +189,9 @@ def test_spine_reject_needs_no_redressing(monkeypatch):
     assert decide(x * (x * x), x * x) is False
     assert decide(parse_term("(x1 x2)"), parse_term("(x2 x1)")) is False
     assert decide(parse_term("(x1 (x2 x3))"), parse_term("((x1 x2) (x2 x1))")) is False
-    assert decide_one_var(x * (x * x), (x * x) * x) is False
+    assert decide(x * (x * x), (x * x) * x) is False
     t, t2 = (parse_term(s) for s in KNOWN_32)
-    assert decide(t, t2) is False and decide_one_var(t, t2) is False
-    with pytest.raises(ValueError):
-        decide_one_var(Leaf(2), Leaf(3))
+    assert decide(t, t2) is False
 
 
 def _signed_walk(rng, t, length):
@@ -229,8 +223,6 @@ def test_decide_holds_along_random_signed_walks():
         walked = _signed_walk(rng, t, rng.randint(2, 6))
         assert same_spine(t, walked)
         assert decide(t, walked)
-        if nvars == 1:
-            assert decide_one_var(t, walked)
 
 
 def test_compare_examples():
@@ -251,7 +243,7 @@ def test_compare_trichotomy_and_transitivity():
                      Comparison.GREATER: Comparison.LESS,
                      Comparison.EQUAL: Comparison.EQUAL}
             assert c2 is flips[c]
-            assert (c is Comparison.EQUAL) == decide_one_var(t, t2)
+            assert (c is Comparison.EQUAL) == decide(t, t2)
     order = {Comparison.LESS: -1, Comparison.EQUAL: 0, Comparison.GREATER: 1}
     for a in terms:
         for b in terms:

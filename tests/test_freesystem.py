@@ -1,14 +1,14 @@
 import pytest
 
 from cdcalc import (
-    UNKNOWN,
     Coset,
+    Verdict,
     chi,
     coset_eq,
     coset_mul,
     coset_of_term,
-    decide_one_var,
     group_equiv,
+    oracle_equiv,
     parse_word,
     pos_word,
     render_word,
@@ -38,16 +38,19 @@ def test_coset_mul():
 
 
 def test_coset_eq_examples():
-    assert coset_eq(coset_of_term(x * (x * x)), coset_of_term((x * x) * (x * x))) is True
-    assert coset_eq(coset_of_term(x), coset_of_term(x * x)) is False
-    assert coset_eq(Coset(pos_word(["0"])), Coset(())) is UNKNOWN
-    assert coset_eq(Coset(pos_word([""])), Coset(())) is False
+    a, b = coset_of_term(x * (x * x)), coset_of_term((x * x) * (x * x))
+    assert coset_eq(a, b) is Verdict.EQUIVALENT
+    assert coset_eq(coset_of_term(x), coset_of_term(x * x)) is Verdict.NOT_EQUIVALENT
+    assert coset_eq(Coset(pos_word(["0"])), Coset(())) is Verdict.UNKNOWN
+    assert coset_eq(Coset(pos_word([""])), Coset(())) is Verdict.NOT_EQUIVALENT
 
 
 def test_unknown_is_not_a_boolean():
-    with pytest.raises(TypeError):
-        bool(UNKNOWN)
-    assert repr(UNKNOWN) == "Unknown"
+    # nor is any other verdict, so no caller can read Unknown as a "no"
+    for verdict in Verdict:
+        with pytest.raises(TypeError):
+            bool(verdict)
+    assert Verdict.UNKNOWN.value == "Unknown"
 
 
 def test_duplication_law_on_cosets():
@@ -59,7 +62,7 @@ def test_duplication_law_on_cosets():
                 bc = coset_mul(b, c)
                 lhs = coset_mul(a, bc)
                 rhs = coset_mul(coset_mul(a, b), bc)
-                assert coset_eq(lhs, rhs) is True
+                assert coset_eq(lhs, rhs) is Verdict.EQUIVALENT
 
 
 def test_representative_perturbation_does_not_change_products():
@@ -72,14 +75,17 @@ def test_representative_perturbation_does_not_change_products():
 
 
 def test_coset_equality_matches_term_decision():
-    terms = one_var_upto(5)
+    # against the oracle, which shares no code with decide
+    terms = one_var_upto(4)
     for t in terms:
         for t2 in terms:
-            assert coset_eq(coset_of_term(t), coset_of_term(t2)) == decide_one_var(t, t2)
+            verdict = oracle_equiv(t, t2, 8)
+            assert verdict is not Verdict.UNKNOWN
+            assert coset_eq(coset_of_term(t), coset_of_term(t2)) is verdict
 
 
 def test_nontrivial_quotient():
-    assert coset_eq(coset_of_term(x), coset_of_term(x * x)) is False
+    assert coset_eq(coset_of_term(x), coset_of_term(x * x)) is Verdict.NOT_EQUIVALENT
 
 
 def test_normal_closure_relation_would_collapse():

@@ -45,6 +45,13 @@ def test_parse_errors(bad):
     assert err.value.position >= 0
 
 
+@pytest.mark.parametrize("bad", [0, -1, True, False, 1.0, "1"])
+def test_leaf_index_is_a_positive_int(bad):
+    # a bool would render as "xTrue", which parse_term rejects
+    with pytest.raises(ValueError):
+        Leaf(bad)
+
+
 @given(terms_st)
 def test_render_parse_roundtrip(t):
     assert parse_term(render_term(t)) == t
