@@ -5,10 +5,11 @@ the shared text formats (terms as s-expressions, words as dotted letters,
 fractions as `N | D`).  Exit codes: 0 for yes/success, 1 for a mathematical
 "no" or an undefined partial result, 2 for any operational error (bad
 syntax, violated precondition, exceeded ceiling), 3 for an Unknown verdict
-of the depth-bounded `oracle`.  `--json` wraps every
-answer in the stable envelope {"ok": bool, "result": ...} on stdout.  A
-word that starts with an inverse letter needs `--` before it, as in
-`cdcalc trace -- -e`, or it is read as an option.
+of the depth-bounded `oracle`.  The ceilings `--max-size` and `--budget`
+must be >= 0.  `--json` wraps every answer in the stable envelope
+{"ok": bool, "result": ...} on stdout.  A word that starts with an inverse
+letter needs `--` before it, as in `cdcalc trace -- -e`, or it is read as
+an option.
 """
 
 import argparse
@@ -32,16 +33,22 @@ from .terms import parse_term, render_term
 from .words import parse_word, render_word
 
 
+def ceiling(text):
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="cdcalc",
         description="Calculus of the central duplication identity x(yz) = (xy)(yz).",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE, metavar="N",
-                   help="size ceiling: leaves of a term, letters of a delta word (default 10^6)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
-                   help="rewrite step ceiling for redressing (default 10^6)")
+    p.add_argument("--max-size", type=ceiling, default=DEFAULT_MAX_SIZE, metavar="N",
+                   help="size ceiling >= 0: leaves of a term, letters of a delta word (default 10^6)")
+    p.add_argument("--budget", type=ceiling, default=DEFAULT_BUDGET, metavar="N",
+                   help="rewrite step ceiling for redressing, >= 0 (default 10^6)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def cmd(name, *args, **kw):

@@ -14,9 +14,9 @@ from typing import Optional
 
 from .action import DEFAULT_MAX_SIZE, apply_word
 from .errors import SizeLimitExceeded
-from .redress import complement, pos_equiv
+from .redress import complement, pos_equiv, redress
 from .terms import Node, Term, render_term
-from .words import Letter, Word, positive_addresses, render_word
+from .words import Letter, Word, inverse, positive_addresses, render_word
 
 
 def delta(t: Term, max_size: Optional[int] = None) -> Word:
@@ -100,8 +100,10 @@ def delta_transport(t: Term, u: Word) -> Word:
 
 
 def lcm(u: Word, v: Word, budget: Optional[int] = None) -> Word:
-    """The right lcm u.(u\\v) of two positive words; checked against v.(v\\u)."""
-    out = u + complement(u, v, budget=budget)
-    symmetric = pos_equiv(out, v + complement(v, u, budget=budget), budget=budget)
-    _checked(symmetric, "lcm is symmetric")
+    """The right lcm u.(u\\v), from one reversal of u^-1.v; checked against v.(v\\u)."""
+    positive_addresses(u)
+    positive_addresses(v)
+    u_v, v_u = redress(inverse(u) + v, budget=budget)
+    out = u + u_v
+    _checked(pos_equiv(out, v + v_u, budget=budget), "lcm is symmetric")
     return out

@@ -215,8 +215,8 @@ def canonicalize(t: Term) -> Term:
 
 
 def project(t: Term) -> Term:
-    """Replace every variable with x1 (keeps only the skeleton)."""
-    return substitute(t, dict.fromkeys(variables(t), X))
+    """Replace every variable with x1, keeping (not copying) subterms of x1 alone."""
+    return substitute(t, {i: X for i in variables(t) if i != 1})
 
 
 def substitute(t: Term, mapping: dict) -> Term:

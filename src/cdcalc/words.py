@@ -52,14 +52,10 @@ def shift(gamma: str, w: Word) -> Word:
     return tuple(Letter(gamma + l.addr, l.sign) for l in w)
 
 
-def render_address(a: str) -> str:
-    return a if a else "e"
-
-
 def render_word(w: Word) -> str:
     if not w:
         return "eps"
-    return ".".join(("-" if l.sign < 0 else "") + render_address(l.addr) for l in w)
+    return ".".join(("-" if l.sign < 0 else "") + (l.addr or "e") for l in w)
 
 
 def parse_word(text: str) -> Word:
@@ -69,11 +65,7 @@ def parse_word(text: str) -> Word:
     letters = []
     pos = 0
     for chunk in text.split("."):
-        body = chunk
-        sign = 1
-        if body.startswith("-"):
-            sign = -1
-            body = body[1:]
+        sign, body = (-1, chunk[1:]) if chunk.startswith("-") else (1, chunk)
         if body == "e":
             addr = ""
         elif body and all(c in "01" for c in body):

@@ -77,3 +77,12 @@ def test_a_leading_inverse_letter_needs_a_separator(capsys):
 def test_ceilings_end_in_the_error_envelope(capsys, args, error):
     assert main(["--json", *args]) == 2
     assert json.loads(capsys.readouterr().out) == {"ok": False, "error": error}
+
+
+@pytest.mark.parametrize("option", ["--budget", "--max-size"])
+def test_negative_ceilings_are_usage_errors(capsys, option):
+    # rejected when parsed, even where no ceiling would be reached
+    with pytest.raises(SystemExit) as err:
+        main(["--json", option, "-1", "redress", "1"])
+    assert err.value.code == 2
+    assert f"argument {option}: must be >= 0, got -1" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import product
 
 import pytest
@@ -9,15 +10,18 @@ from cdcalc import (
     Fraction,
     StepBudgetExceeded,
     apply_word,
+    chi,
     complement,
     f_cd,
     group_equiv,
     inverse,
     parse_word,
+    partial,
     pos_equiv,
     pos_word,
     redress,
     render_word,
+    right_comb,
     trace,
 )
 from cdcalc.cli import main
@@ -68,6 +72,12 @@ def test_redress_examples():
     assert redress(parse_word("-0.-e")) == Fraction((), pos_word(["", "0"]))
 
 
+def comb_difference(p):
+    """The blueprint difference of the right comb of size p and its expansion."""
+    comb = right_comb(p)
+    return inverse(chi(comb)) + chi(partial(comb))
+
+
 def test_redress_budget():
     with pytest.raises(StepBudgetExceeded) as err:
         redress(parse_word("-e.1"), budget=0)
@@ -75,6 +85,25 @@ def test_redress_budget():
     assert str(err.value) == (
         "redressing stopped at its budget after 0 steps; the word has 2 letters, "
         "the input had 2")
+    # the exact step count of leftmost redressing
+    w = comb_difference(8)
+    assert len(w) == 1220
+    assert len(redress(w, budget=1086).num) == 62
+    with pytest.raises(StepBudgetExceeded) as err:
+        redress(w, budget=1085)
+    assert str(err.value) == (
+        "redressing stopped at its budget after 1085 steps; the word has 85 letters, "
+        "the input had 1220")
+
+
+def test_long_words_redress_in_linear_time():
+    # a step costs O(1), not O(word length)
+    w = comb_difference(13)
+    assert len(w) == 269815
+    start = time.perf_counter()
+    fr = redress(w)
+    assert time.perf_counter() - start < 1.5
+    assert (len(fr.num), len(fr.den)) == (297, 66)
 
 
 def test_redress_budget_in_cli_json_envelope(capsys):
@@ -180,6 +209,8 @@ def test_cd_relations_families():
 def test_lcm_law(u, v):
     # u(u\v) and v(v\u) present the same element
     assert pos_equiv(u + complement(u, v), v + complement(v, u))
+    # and one reversal of u^-1.v yields both complements
+    assert redress(inverse(u) + v) == Fraction(complement(u, v), complement(v, u))
 
 
 def test_completeness_matches_traces():

@@ -25,6 +25,7 @@ from helpers import (
     labeled_terms,
     left_iter,
     match,
+    one_var_upto,
     terms_st,
 )
 
@@ -130,6 +131,15 @@ def test_skeleton_and_predicates():
     assert is_canonical(x1)
     assert canonicalize(x3 * (x2 * x3)) == x1 * (x2 * x1)
     assert project(x2 * (x3 * x1)) == x1 * (x1 * x1)
+
+
+def test_project_keeps_subterms_of_x1():
+    for t in one_var_upto(6):
+        assert project(t) is t
+    t = parse_term("((x1 x1) (x2 ((x1 x1) x1)))")
+    p = project(t)
+    assert p == parse_term("((x1 x1) (x1 ((x1 x1) x1)))")
+    assert p.left is t.left and p.right.right is t.right.right
 
 
 def test_unify_examples():
