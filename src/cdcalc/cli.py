@@ -6,10 +6,11 @@ fractions as `N | D`).  Exit codes: 0 for yes/success, 1 for a mathematical
 "no" or an undefined partial result, 2 for any operational error (bad
 syntax, violated precondition, exceeded ceiling), 3 for an Unknown verdict
 of the depth-bounded `oracle`.  The ceilings `--max-size` and `--budget`
-must be >= 0.  `--json` wraps every answer in the stable envelope
-{"ok": bool, "result": ...} on stdout.  A word that starts with an inverse
-letter needs `--` before it, as in `cdcalc trace -- -e`, or it is read as
-an option.
+must be >= 0.  `--budget` bounds each redressing on its own; `decide`
+redresses at most once per right-spine level.  `--json` wraps every answer
+in the stable envelope {"ok": bool, "result": ...} on stdout.  A word that
+starts with an inverse letter needs `--` before it, as in
+`cdcalc trace -- -e`, or it is read as an option.
 """
 
 import argparse
@@ -48,7 +49,7 @@ def _build_parser():
     p.add_argument("--max-size", type=ceiling, default=DEFAULT_MAX_SIZE, metavar="N",
                    help="size ceiling >= 0: leaves of a term, letters of a delta word (default 10^6)")
     p.add_argument("--budget", type=ceiling, default=DEFAULT_BUDGET, metavar="N",
-                   help="rewrite step ceiling for redressing, >= 0 (default 10^6)")
+                   help="rewrite step ceiling for each redressing, >= 0 (default 10^6)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def cmd(name, *args, **kw):

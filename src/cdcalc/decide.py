@@ -9,16 +9,19 @@ elements into P_minus / P_zero / P_plus; the blueprint difference of two
 one-variable terms lies in P_zero exactly when they are equivalent.
 
 `decide` answers every term-equivalence question along one pipeline: a
-right-spine reject in O(n), the class of the blueprint difference of the
-one-variable projections, then one literal comparison of the expansions
-its fraction builds.
+right-spine reject in O(n), then one sweep up the right spine of the
+one-variable projections, from the deepest level that differs to the top,
+which refutes at the first level whose blueprint difference is not in
+P_zero, and one literal comparison of the expansions the top level's
+fraction builds.
 """
 
 import enum
 from typing import Optional
 
 from .action import apply_word
-from .blueprint import chi
+from .blueprint import chi, star
+from .errors import StepBudgetExceeded
 from .redress import Fraction, redress
 from .terms import Node, Term, project, right_comb, same_spine
 from .words import Word, inverse, positive_addresses
@@ -73,20 +76,57 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     deeper levels are untouched too.  A mismatch therefore means "not
     equivalent", and costs O(n) instead of a redressing.
 
-    Otherwise project to one variable and classify the blueprint
-    difference; when it passes, extend both terms by a tall right comb,
-    apply the fraction's numerator on one side and denominator on the
+    Otherwise project both terms to one variable and sweep their iterated
+    right subterms q_k, q2_k (level 0 is the term, level h its rightmost
+    leaf) from the bottom up.  The same cases show that every letter keeps
+    each level k up to equivalence: a letter at 1^j with j < k keeps its
+    right subterm s1*s2, which holds level k, literally; a letter inside
+    the left factor of a level j < k leaves level k alone; and any other
+    letter acts on level k as one letter.  So equivalent terms have
+    equivalent, and projection-equivalent, right subterms at every level,
+    and a level whose blueprint difference chi(q_k)^-1.chi(q2_k) is not in
+    P_zero refutes the pair.  The deeper levels have the smaller words and
+    redress first and cheapest; the sweep stops at the first one that
+    refutes.  A level with q_k == q2_k needs no redressing, and then
+    neither does any level below it, so the sweep starts at the deepest
+    level that differs.  Each level's blueprint is built from the one
+    below, chi(q_k) = star(chi(q_k.left), chi(q_{k+1})), so no subterm's
+    blueprint is built twice.  `budget` bounds each level's redressing; a
+    budget error names the level and how many redressed levels below it
+    were found in P_zero.
+
+    When every level passes, extend both terms by a tall right comb, apply
+    the top level's fraction numerator on one side and denominator on the
     other (the blueprint acts on comb-extended terms, so both applications
     are defined, and definedness of positive words only depends on the
     skeleton), and compare the resulting expansions literally: distinct
-    terms with one skeleton are never equivalent.  Every "yes" rests on
-    that comparison.
+    terms with one skeleton are never equivalent.  If the projections are
+    equal, that fraction is empty and the comparison is t == t2.  Every
+    "yes" rests on that comparison.
     """
     if not same_spine(t, t2):
         return False
-    fraction = redress(inverse(chi(project(t))) + chi(project(t2)), budget=budget)
-    if _classify_fraction(fraction) is not Classification.P_ZERO:
-        return False
+    levels, levels2 = [project(t)], [project(t2)]
+    while type(levels[-1]) is Node:  # one spine profile: one right height
+        levels.append(levels[-1].right)
+        levels2.append(levels2[-1].right)
+    h = k = len(levels) - 1
+    while k and levels[k - 1].left == levels2[k - 1].left:
+        k -= 1
+    fraction = Fraction((), ())
+    if k:
+        c = c2 = chi(levels[k])
+    for j in range(k - 1, -1, -1):
+        c = star(chi(levels[j].left), c)
+        c2 = star(chi(levels2[j].left), c2)
+        try:
+            fraction = redress(inverse(c) + c2, budget=budget)
+        except StepBudgetExceeded as exc:
+            raise StepBudgetExceeded(
+                f"{exc}; at right-spine level {j} of {h}, after {k - 1 - j} levels "
+                f"found P_zero") from exc
+        if _classify_fraction(fraction) is not Classification.P_ZERO:
+            return False
     p = max(t.size, t2.size)
     a = apply_word(Node(t, right_comb(p)), fraction.num)
     b = apply_word(Node(t2, right_comb(p)), fraction.den)

@@ -295,7 +295,8 @@ def unify(t1: Term, t2: Term):
 
 
 def _resolve(t, subst):
-    # Expand a triangular binding chain into a fully substituted term.
+    # Expand a triangular binding chain into a fully substituted term,
+    # keeping (not copying) every subterm that holds no bound variable.
     work = [(t, False)]
     out = []
     while work:
@@ -303,7 +304,7 @@ def _resolve(t, subst):
         if done:
             right = out.pop()
             left = out.pop()
-            out.append(Node(left, right))
+            out.append(cur if left is cur.left and right is cur.right else Node(left, right))
             continue
         cur = _walk(cur, subst)
         if type(cur) is Leaf:

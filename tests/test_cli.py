@@ -73,6 +73,10 @@ def test_a_leading_inverse_letter_needs_a_separator(capsys):
     (["--budget", "1", "lcm", "0", "1.e"],
      "redressing stopped at its budget after 1 steps; the word has 3 letters, the input had 3"),
     (["expand", "--steps", "-1", T3], "steps must be >= 0"),
+    (["--budget", "20", "decide", "(x1 (x1 (x1 (x1 x1))))",
+      "((((x1 x1) (x1 x1)) ((x1 x1) (x1 x1))) (((x1 x1) (x1 x1)) ((x1 x1) (x1 x1))))"],
+     "redressing stopped at its budget after 20 steps; the word has 48 letters, the input had 55; "
+     "at right-spine level 0 of 4, after 2 levels found P_zero"),
 ])
 def test_ceilings_end_in_the_error_envelope(capsys, args, error):
     assert main(["--json", *args]) == 2

@@ -11,8 +11,11 @@ from cdcalc import (
     Leaf,
     Letter,
     Node,
+    StepBudgetExceeded,
     Verdict,
     apply_letter,
+    canonicalize,
+    chi,
     classify,
     compare,
     decide,
@@ -22,6 +25,9 @@ from cdcalc import (
     oracle_equiv,
     parse_term,
     parse_word,
+    partial,
+    redress,
+    render_term,
     right_comb,
     same_spine,
     shift,
@@ -123,6 +129,9 @@ def test_decide_examples():
     assert not decide(parse_term("x1"), parse_term("x2"))
     t = parse_term("(x1 (x2 (x3 x4)))")
     assert decide(t, parse_term("(((x1 x2) (x2 x3)) ((x2 x3) (x3 x4)))"))
+    # one spine and one projection: no level is redressed, and the empty
+    # fraction leaves the literal comparison
+    assert not decide(parse_term("(((x1 x2) x1) x3)"), parse_term("(((x1 x2) x2) x3)"))
 
 
 def test_decide_agrees_with_oracle_on_two_variable_terms():
@@ -223,6 +232,86 @@ def test_decide_holds_along_random_signed_walks():
         walked = _signed_walk(rng, t, rng.randint(2, 6))
         assert same_spine(t, walked)
         assert decide(t, walked)
+
+
+def test_decide_redresses_only_the_levels_that_differ(monkeypatch):
+    calls = []
+
+    def counting(w, budget=None):
+        calls.append(w)
+        return redress(w, budget=budget)
+
+    monkeypatch.setattr(sys.modules["cdcalc.decide"], "redress", counting)
+    for t in (parse_term(KNOWN_32[0]), partial(right_comb(6)), parse_term("(((x1 x2) x1) x3)")):
+        assert decide(t, t) is True
+    assert calls == []
+    # one letter at the root keeps the right subterm, so only the top differs
+    assert decide(x * (x * (x * x)), (x * x) * (x * (x * x))) is True
+    assert decide(parse_term("(x1 (x2 x3))"), parse_term("((x1 x2) (x2 x3))")) is True
+    assert len(calls) == 2
+
+
+def test_a_budget_error_names_the_spine_level():
+    # comb5 vs partial(comb5) differs at levels 0..2; they need 55, 17 and 4
+    # redressing steps
+    t, t2 = right_comb(5), partial(right_comb(5))
+    with pytest.raises(StepBudgetExceeded) as err:
+        decide(t, t2, budget=20)
+    assert str(err.value) == (
+        "redressing stopped at its budget after 20 steps; the word has 48 letters, the input "
+        "had 55; at right-spine level 0 of 4, after 2 levels found P_zero")
+    with pytest.raises(StepBudgetExceeded) as err:
+        decide(t, t2, budget=0)
+    assert str(err.value).endswith("; at right-spine level 2 of 4, after 0 levels found P_zero")
+    assert decide(t, t2, budget=55) is True
+
+
+def _random_term(rng, n, nvars):
+    if n == 1:
+        return Leaf(rng.randint(1, nvars))
+    k = rng.randint(1, n - 1)
+    return Node(_random_term(rng, k, nvars), _random_term(rng, n - k, nvars))
+
+
+def test_decide_agrees_with_the_oracle_on_random_same_spine_pairs():
+    # a third of the pairs are signed walks, the rest random terms of one
+    # size and spine profile
+    rng = random.Random(61)
+    settled = {Verdict.EQUIVALENT: 0, Verdict.NOT_EQUIVALENT: 0}
+    pairs = 0
+    while pairs < 300:
+        n, nvars = rng.randint(6, 12), rng.randint(1, 3)
+        t = canonicalize(_random_term(rng, n, nvars))
+        if pairs % 3 == 0:
+            t2 = _signed_walk(rng, t, rng.randint(1, 3))
+        else:
+            t2 = canonicalize(_random_term(rng, n, nvars))
+            if not same_spine(t, t2):
+                continue
+        pairs += 1
+        verdict = oracle_equiv(t, t2, 2)
+        if verdict is not Verdict.UNKNOWN:
+            settled[verdict] += 1
+            assert (verdict is Verdict.EQUIVALENT) == decide(t, t2), (render_term(t), render_term(t2))
+    assert min(settled.values()) >= 80
+
+
+# Pair r16-113 of the seed-61 decide-random benchmark corpus: one spine, and
+# a blueprint difference past 10^4 redressing steps; level 1 refutes it.
+R16_113 = (
+    "((x1 ((x1 x1) x1)) ((x1 (x1 (x1 ((x1 (x1 x1)) ((x1 x1) x1))))) ((x1 x1) x1)))",
+    "((x1 x1) ((((x1 x1) ((x1 (x1 x1)) x1)) x1) (((x1 (x1 x1)) (x1 (x1 x1))) x1)))",
+)
+
+
+def test_a_lower_level_refutes_past_the_top_level_budget(capsys):
+    t, t2 = (parse_term(s) for s in R16_113)
+    assert same_spine(t, t2)
+    with pytest.raises(StepBudgetExceeded):
+        redress(inverse(chi(t)) + chi(t2), budget=10**4)
+    assert decide(t, t2, budget=10**4) is False
+    assert main(["--json", "--budget", "10000", "decide", *R16_113]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "result": False}
 
 
 def test_compare_examples():

@@ -152,6 +152,14 @@ def test_unify_examples():
     assert a == b
 
 
+def test_unify_reuses_subterms_without_bound_variables():
+    t = (x2 * x3) * (x2 * (x3 * x4))
+    assert unify(x1, t)[1] is t
+    u = x3 * (x4 * x3)
+    h = unify(x1 * x2, x2 * u)  # x1 -> x2 -> u
+    assert h[1] is u and h[2] is u
+
+
 @given(terms_st, terms_st)
 def test_unify_is_unifier_and_idempotent(t, t2):
     h = unify(t, t2)
