@@ -35,9 +35,7 @@ from .terms import (
     replace,
     right_comb,
     right_height,
-    rightmost_variable,
     same_spine,
-    size,
     skeleton,
     spine_profile,
     substitute,

@@ -23,11 +23,12 @@ from .terms import (
     first_occurrences,
     project,
     replace,
+    resolve,
     same_spine,
     skeleton,
     substitute,
     subterm,
-    unify,
+    unify_into,
 )
 from .words import Letter, Word
 
@@ -135,20 +136,22 @@ def _letter_pattern(letter: Letter, fresh: int):
 def trace(w: Word) -> Optional[Trace]:
     """The canonical trace of the word w, or None when the operator is empty.
 
-    Built one letter at a time: unify the running right term against the
-    letter's defining pattern, push the unifier through the pair, rewrite,
-    and finally rename variables to x1, x2, ... by first occurrence.
+    Built one letter at a time in one binding store: unify the running right
+    term against the letter's defining pattern and rewrite the pattern, which
+    commutes with every instance of it since the letter acts only on the shape
+    the pattern spells out.  Finally resolve x1 and the right term once, and
+    rename variables to x1, x2, ... by first occurrence.
     """
-    left = right = Leaf(1)
+    subst = {}
+    right = Leaf(1)
     fresh = 2
     for letter in w:
         pattern, fresh = _letter_pattern(letter, fresh)
-        h = unify(right, pattern)
-        if h is None:
+        if not unify_into(right, pattern, subst):
             return None
-        left = substitute(left, h)
-        right = apply_letter(substitute(pattern, h), letter)
-        assert right is not None, "letter must apply after unification with its pattern"
+        right = apply_letter(pattern, letter)
+        assert right is not None, "letter must apply to its own pattern"
+    left, right = resolve(Leaf(1), subst), resolve(right, subst)
     renaming = {old: Leaf(i) for i, old in enumerate(first_occurrences(left), start=1)}
     return Trace(substitute(left, renaming), substitute(right, renaming))
 

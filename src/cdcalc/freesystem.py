@@ -2,12 +2,12 @@
 
 Group elements modulo the subgroup generated by the 0-shifted letters,
 multiplied by a * b = a . 1b . phi . 1b^-1, satisfy x(yz) = (xy)(yz), and
-the subsystem generated by any single coset is free.  A coset is carried
-by a representative word, normally a blueprint, in which case the
-originating term is kept alongside: equality of blueprint cosets reduces
-to equivalence of the terms.  For cosets of unknown origin only a
-necessary criterion is available (the representative difference must
-classify as P_zero), so equality may honestly come out `Verdict.UNKNOWN`.
+the subsystem generated by any single coset is free.  A `Coset` is the
+named pair (rep, origin) of a representative word, normally a blueprint,
+and then the originating term: equality of blueprint cosets reduces to
+equivalence of the terms.  For cosets of unknown origin only a necessary
+criterion is available (the representative difference must classify as
+P_zero), so equality may honestly come out `Verdict.UNKNOWN`.
 
 Collapsing the 0-shifted letters as a normal subgroup instead would
 trivialize everything: the characteristic relation g.1g.g = 1g.g.0g
@@ -15,8 +15,7 @@ forces every generator to die in that quotient.  Cosets, not quotient
 groups, are the right home for the operation.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .action import Verdict
 from .blueprint import chi, star
@@ -25,8 +24,7 @@ from .terms import Node, Term
 from .words import Word, inverse
 
 
-@dataclass(frozen=True)
-class Coset:
+class Coset(NamedTuple):
     rep: Word
     origin: Optional[Term] = None
 

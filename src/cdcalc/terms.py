@@ -75,11 +75,6 @@ class Node(Term):
 X = Leaf(1)  # the variable x in one-variable contexts
 
 
-def size(t: Term) -> int:
-    """Number of variable occurrences (leaves) in t."""
-    return t.size
-
-
 def right_height(t: Term) -> int:
     """Length of the rightmost branch: 0 on a leaf, ht_r(t1) + 1 on t0*t1."""
     h = 0
@@ -146,12 +141,6 @@ def first_occurrences(t: Term) -> list:
     return out
 
 
-def rightmost_variable(t: Term) -> int:
-    while type(t) is Node:
-        t = t.right
-    return t.index
-
-
 def spine_profile(t: Term) -> tuple:
     """The first-occurrence variable sequence of every iterated right
     subterm, from t itself down to its rightmost leaf.
@@ -181,10 +170,13 @@ def spine_profile(t: Term) -> tuple:
 
 
 def same_spine(t: Term, t2: Term) -> bool:
-    """Whether t and t2 have one spine profile.  Compares the right heights
-    and the rightmost variables first, and builds the profiles only when
-    those agree."""
-    if right_height(t) != right_height(t2) or rightmost_variable(t) != rightmost_variable(t2):
+    """Whether t and t2 have one spine profile.  Walks both right spines
+    once in lockstep to compare the right heights and the rightmost
+    variables, and builds the profiles only when those agree."""
+    a, b = t, t2
+    while type(a) is Node and type(b) is Node:
+        a, b = a.right, b.right
+    if type(a) is not type(b) or a.index != b.index:
         return False
     return spine_profile(t) == spine_profile(t2)
 
@@ -270,6 +262,15 @@ def unify(t1: Term, t2: Term):
     variable occurs in any image.
     """
     subst = {}
+    if not unify_into(t1, t2, subst):
+        return None
+    return {v: resolve(img, subst) for v, img in subst.items()}
+
+
+def unify_into(t1: Term, t2: Term, subst: dict) -> bool:
+    """Extend the triangular substitution `subst` (an image may hold bound
+    variables) in place to a most general unifier of t1 and t2; False on
+    failure (occurs check), when `subst` may hold part of the new bindings."""
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
@@ -282,21 +283,21 @@ def unify(t1: Term, t2: Term):
                 subst[a.index] = b
         elif type(a) is Leaf:
             if _occurs(a.index, b, subst):
-                return None
+                return False
             subst[a.index] = b
         elif type(b) is Leaf:
             if _occurs(b.index, a, subst):
-                return None
+                return False
             subst[b.index] = a
         else:
             stack.append((a.left, b.left))
             stack.append((a.right, b.right))
-    return {v: _resolve(img, subst) for v, img in subst.items()}
+    return True
 
 
-def _resolve(t, subst):
-    # Expand a triangular binding chain into a fully substituted term,
-    # keeping (not copying) every subterm that holds no bound variable.
+def resolve(t: Term, subst: dict) -> Term:
+    """t under the triangular substitution `subst`, with every binding chain
+    expanded, keeping (not copying) every subterm that holds no bound variable."""
     work = [(t, False)]
     out = []
     while work:

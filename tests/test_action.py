@@ -23,7 +23,6 @@ from cdcalc import (
     pos_word,
     render_term,
     right_comb,
-    size,
     substitute,
     trace,
 )
@@ -130,7 +129,7 @@ def test_action_is_instance_of_trace(t, w):
 def test_positive_steps_grow_size(t, a):
     image = apply_letter(t, Letter(a, 1))
     if image is not None:
-        assert size(image) > size(t)
+        assert image.size > t.size
 
 
 def test_relations_have_equal_traces_and_actions():

@@ -1,54 +1,69 @@
 import argparse
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cdcalc
 from cdcalc.cli import _build_parser, main
 
 T3 = "(x1 (x1 x1))"
 T3_EXPANDED = "((x1 x1) (x1 x1))"
 
-# (arguments after --json, exit code, result); one yes and one no where a
-# command answers yes or no
+# (arguments, exit code, result under --json, lines of plain text); one yes
+# and one no where a command answers yes or no
 CASES = [
-    (["decide", T3, T3_EXPANDED], 0, True),
-    (["decide", "(x1 x2)", "(x2 x1)"], 1, False),
-    (["apply", "(x1 (x2 x3))", "e"], 0, {"defined": True, "term": "((x1 x2) (x2 x3))"}),
-    (["apply", "(x1 x2)", "e"], 1, {"defined": False, "step": 0}),
-    (["trace", "e"], 0, {"left": "(x1 (x2 x3))", "right": "((x1 x2) (x2 x3))"}),
-    (["trace", "--", "-e"], 0, {"left": "((x1 x2) (x2 x3))", "right": "(x1 (x2 x3))"}),
-    (["trace", "--", "e.e.-0"], 1, None),
-    (["redress", "--", "-e.1"], 0, {"num": "1.e", "den": "e.0"}),
-    (["posequiv", "1.e.0", "e.1.e"], 0, True),
-    (["posequiv", "e", "0"], 1, False),
-    (["groupequiv", "--", "e.-e", "eps"], 0, True),
-    (["groupequiv", "e", "0"], 1, False),
-    (["complement", "e", "1"], 0, "1.e"),
-    (["lcm", "0", "1.e"], 0, "0.1.e"),
-    (["delta", "(x1 (x1 (x1 x1)))"], 0, "1.e.0"),
-    (["partial", "-n", "2", T3], 0, "(((x1 x1) x1) (x1 x1))"),
-    (["chi", T3], 0, "1.e.-1"),
-    (["chi", "--star", T3], 0, "eps"),
-    (["dil", "1", "e"], 0, 2),
-    (["classify", "--", "-e.0"], 0, "P_minus"),
-    (["compare", "(x1 x1)", "((x1 x1) x1)"], 0, "Less"),
-    (["oracle", "--depth", "1", T3, T3_EXPANDED], 0, "Equivalent"),
-    (["oracle", "--depth", "1", "(x1 x2)", "(x2 x1)"], 1, "NotEquivalent"),
-    (["oracle", "--depth", "0", T3, T3_EXPANDED], 3, "Unknown"),
+    (["decide", T3, T3_EXPANDED], 0, True, ["equivalent"]),
+    (["decide", "(x1 x2)", "(x2 x1)"], 1, False, ["not equivalent"]),
+    (["apply", "(x1 (x2 x3))", "e"], 0, {"defined": True, "term": "((x1 x2) (x2 x3))"},
+     ["((x1 x2) (x2 x3))"]),
+    (["apply", "(x1 x2)", "e"], 1, {"defined": False, "step": 0}, ["undefined at step 0"]),
+    (["trace", "e"], 0, {"left": "(x1 (x2 x3))", "right": "((x1 x2) (x2 x3))"},
+     ["(x1 (x2 x3)) -> ((x1 x2) (x2 x3))"]),
+    (["trace", "--", "-e"], 0, {"left": "((x1 x2) (x2 x3))", "right": "(x1 (x2 x3))"},
+     ["((x1 x2) (x2 x3)) -> (x1 (x2 x3))"]),
+    (["trace", "--", "e.e.-0"], 1, None, ["empty"]),
+    (["redress", "--", "-e.1"], 0, {"num": "1.e", "den": "e.0"}, ["1.e | e.0"]),
+    (["posequiv", "1.e.0", "e.1.e"], 0, True, ["true"]),
+    (["posequiv", "e", "0"], 1, False, ["false"]),
+    (["groupequiv", "--", "e.-e", "eps"], 0, True, ["true"]),
+    (["groupequiv", "e", "0"], 1, False, ["false"]),
+    (["complement", "e", "1"], 0, "1.e", ["1.e"]),
+    (["lcm", "0", "1.e"], 0, "0.1.e", ["0.1.e"]),
+    (["delta", "(x1 (x1 (x1 x1)))"], 0, "1.e.0", ["1.e.0"]),
+    (["partial", "-n", "2", T3], 0, "(((x1 x1) x1) (x1 x1))", ["(((x1 x1) x1) (x1 x1))"]),
+    (["chi", T3], 0, "1.e.-1", ["1.e.-1"]),
+    (["chi", "--star", T3], 0, "eps", ["eps"]),
+    (["dil", "1", "e"], 0, 2, ["2"]),
+    (["classify", "--", "-e.0"], 0, "P_minus", ["P_minus"]),
+    (["compare", "(x1 x1)", "((x1 x1) x1)"], 0, "Less", ["Less"]),
+    (["oracle", "--depth", "1", T3, T3_EXPANDED], 0, "Equivalent", ["Equivalent"]),
+    (["oracle", "--depth", "1", "(x1 x2)", "(x2 x1)"], 1, "NotEquivalent", ["NotEquivalent"]),
+    (["oracle", "--depth", "0", T3, T3_EXPANDED], 3, "Unknown", ["Unknown"]),
     (["expand", "--steps", "1", T3], 0,
-     [{"steps": 0, "term": T3}, {"steps": 1, "term": T3_EXPANDED}]),
+     [{"steps": 0, "term": T3}, {"steps": 1, "term": T3_EXPANDED}],
+     [f"0: {T3}", f"1: {T3_EXPANDED}"]),
 ]
+IDS = [f"{c[0][0]}-{c[1]}" for c in CASES]
 
 
-@pytest.mark.parametrize("args, code, result", CASES, ids=[f"{c[0][0]}-{c[1]}" for c in CASES])
-def test_every_subcommand_answers_in_the_envelope(capsys, args, code, result):
+@pytest.mark.parametrize("args, code, result, lines", CASES, ids=IDS)
+def test_every_subcommand_answers_in_the_envelope(capsys, args, code, result, lines):
     assert main(["--json", *args]) == code
     assert json.loads(capsys.readouterr().out) == {"ok": True, "result": result}
 
 
+@pytest.mark.parametrize("args, code, result, lines", CASES, ids=IDS)
+def test_every_subcommand_answers_in_text(capsys, args, code, result, lines):
+    assert main(args) == code
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_every_subcommand_has_a_case():
     (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(sub.choices) == {args[0] for args, _, _ in CASES}
+    assert set(sub.choices) == {args[0] for args, *_ in CASES}
 
 
 def test_the_table_subcommand_is_gone(capsys):
@@ -59,6 +74,13 @@ def test_the_table_subcommand_is_gone(capsys):
         assert err.value.code == 2
         message = capsys.readouterr().err
         assert "invalid choice" in message and args[0] in message
+
+
+def test_a_spine_index_must_be_an_int(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--json", "dil", "abc", "e"])
+    assert err.value.code == 2
+    assert "argument I: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_a_leading_inverse_letter_needs_a_separator(capsys):
@@ -90,3 +112,12 @@ def test_negative_ceilings_are_usage_errors(capsys, option):
         main(["--json", option, "-1", "redress", "1"])
     assert err.value.code == 2
     assert f"argument {option}: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_the_cli_imports_no_dataclasses():
+    # in a fresh interpreter, since pytest itself imports dataclasses
+    code = "import sys, cdcalc.cli; print('dataclasses' in sys.modules)"
+    src = str(Path(cdcalc.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

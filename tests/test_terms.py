@@ -12,7 +12,6 @@ from cdcalc import (
     replace,
     right_comb,
     right_height,
-    size,
     skeleton,
     substitute,
     subterm,
@@ -89,10 +88,10 @@ def test_replace_identity(t, a):
 
 
 def test_size_and_height():
-    assert size(x1) == 1
-    assert size(x1 * (x2 * x3)) == 3
+    assert x1.size == 1
+    assert (x1 * (x2 * x3)).size == 3
     lemma_term = parse_term("(((x1 x2) (x2 x3)) ((x2 x3) (x3 x4)))")
-    assert size(lemma_term) == 8
+    assert lemma_term.size == 8
     assert right_height(x1) == 0
     assert right_height(x1 * (x1 * x1)) == 2
     assert right_height((x1 * x1) * x1) == 1
@@ -101,7 +100,7 @@ def test_size_and_height():
 @given(terms_st, terms_st)
 def test_size_height_recurrences(a, b):
     t = a * b
-    assert size(t) == size(a) + size(b)
+    assert t.size == a.size + b.size
     assert right_height(t) == right_height(b) + 1
 
 
@@ -116,7 +115,7 @@ def test_right_comb():
     assert right_comb(1) == x1
     assert right_comb(3) == x1 * (x1 * x1)
     for p in range(1, 11):
-        assert size(right_comb(p)) == p
+        assert right_comb(p).size == p
     with pytest.raises(ValueError):
         right_comb(0)
 
@@ -211,7 +210,7 @@ def test_match_is_one_way():
 
 def test_deep_terms_do_not_recurse():
     deep = right_comb(5000)
-    assert size(deep) == 5000
+    assert deep.size == 5000
     assert right_height(deep) == 4999
     left = deep
     for _ in range(3):
