@@ -20,13 +20,13 @@ from .terms import (
     Leaf,
     Node,
     Term,
+    canonicalize,
     first_occurrences,
     project,
     replace,
     resolve,
     same_spine,
     skeleton,
-    substitute,
     subterm,
     unify_into,
 )
@@ -72,7 +72,7 @@ def apply_word_partial(t: Term, w: Word, max_size: Optional[int] = None):
 
 def expansions(t: Term):
     """All one-step expansions of t as (address, result) pairs, addresses in
-    lexicographic order."""
+    lexicographic order, which is the preorder of the walk."""
     out = []
     stack = [("", t)]
     while stack:
@@ -81,9 +81,8 @@ def expansions(t: Term):
             if type(cur.right) is Node:
                 rewritten = Node(Node(cur.left, cur.right.left), cur.right)
                 out.append((addr, replace(t, addr, rewritten)))
-            stack.append((addr + "0", cur.left))
             stack.append((addr + "1", cur.right))
-    out.sort(key=lambda pair: pair[0])
+            stack.append((addr + "0", cur.left))
     return out
 
 
@@ -140,7 +139,7 @@ def trace(w: Word) -> Optional[Trace]:
     term against the letter's defining pattern and rewrite the pattern, which
     commutes with every instance of it since the letter acts only on the shape
     the pattern spells out.  Finally resolve x1 and the right term once, and
-    rename variables to x1, x2, ... by first occurrence.
+    canonicalize the pair: the left term holds every variable of the right.
     """
     subst = {}
     right = Leaf(1)
@@ -151,9 +150,8 @@ def trace(w: Word) -> Optional[Trace]:
             return None
         right = apply_letter(pattern, letter)
         assert right is not None, "letter must apply to its own pattern"
-    left, right = resolve(Leaf(1), subst), resolve(right, subst)
-    renaming = {old: Leaf(i) for i, old in enumerate(first_occurrences(left), start=1)}
-    return Trace(substitute(left, renaming), substitute(right, renaming))
+    pair = canonicalize(Node(resolve(Leaf(1), subst), resolve(right, subst)))
+    return Trace(pair.left, pair.right)
 
 
 class Verdict(enum.Enum):
@@ -234,8 +232,8 @@ def oracle_equiv(t: Term, t2: Term, depth: int) -> Verdict:
     # Every letter keeps each iterated right subterm up to equivalence, so a
     # refutation at any level of the right spine refutes the pair.  One spine
     # profile makes both members nodes at every undecided level.  Projections
-    # keep the skeletons, and each level's skeleton is the right half of the
-    # one above.
+    # keep the skeletons, and each level's skeleton is a suffix of the one
+    # above: its right half, from index 2 * left.size.
     p, p2 = project(t), project(t2)
     one_var = (p, p2) == (t, t2)
     shape, shape2 = skeleton(t), skeleton(t2)
@@ -249,5 +247,6 @@ def oracle_equiv(t: Term, t2: Term, depth: int) -> Verdict:
                 return verdict
             if not one_var and _search(q, q2, d, sh, sh2) is Verdict.NOT_EQUIVALENT:
                 return Verdict.NOT_EQUIVALENT
-            s, s2, q, q2, sh, sh2 = s.right, s2.right, q.right, q2.right, sh[1], sh2[1]
+            sh, sh2 = sh[2 * s.left.size:], sh2[2 * s2.left.size:]
+            s, s2, q, q2 = s.right, s2.right, q.right, q2.right
     return Verdict.UNKNOWN

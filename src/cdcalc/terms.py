@@ -5,8 +5,8 @@ Nodes are located by addresses: strings over {0, 1}, read left to right
 from the root ("" is the root, "0" the left subterm, "1" the right one).
 
 All values are immutable and all functions are pure.  Traversals are
-iterative throughout so that very deep terms (left combs of ~10^6 leaves)
-do not hit the interpreter recursion limit.
+iterative, and derived values such as skeletons are flat strings, so very
+deep terms (left combs of ~10^6 leaves) never recurse, in Python or in C.
 """
 
 from .errors import ParseError
@@ -181,23 +181,18 @@ def same_spine(t: Term, t2: Term) -> bool:
     return spine_profile(t) == spine_profile(t2)
 
 
-def skeleton(t: Term):
-    """The unlabelled tree shape of t, as nested pairs: () for a leaf."""
-    work = [(t, False)]
-    out = []
-    while work:
-        cur, done = work.pop()
-        if type(cur) is Leaf:
-            out.append(())
-        elif done:
-            right = out.pop()
-            left = out.pop()
-            out.append((left, right))
-        else:
-            work.append((cur, True))
-            work.append((cur.right, False))
-            work.append((cur.left, False))
-    return out[0]
+def skeleton(t: Term) -> str:
+    """The tree shape of t as a preorder string, "1" per node and "0" per leaf:
+    2*size - 1 characters, a node's right half starting at index 2 * left.size.
+    Codes are prefix-free and sort as shapes: leaf, then by left, then right."""
+    code = []
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        code.append("1" if type(cur) is Node else "0")
+        if type(cur) is Node:
+            stack += (cur.right, cur.left)
+    return "".join(code)
 
 
 def canonicalize(t: Term) -> Term:

@@ -19,9 +19,6 @@ class Letter(NamedTuple):
     addr: str
     sign: int
 
-    def inverse(self):
-        return Letter(self.addr, -self.sign)
-
 
 Word = tuple  # tuple of Letter
 

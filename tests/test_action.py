@@ -1,11 +1,15 @@
 import json
+import subprocess
+import sys
 import time
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cdcalc
 from cdcalc import (
     Leaf,
     Letter,
@@ -25,6 +29,7 @@ from cdcalc import (
     right_comb,
     substitute,
     trace,
+    variables,
 )
 from cdcalc.cli import main
 from helpers import (
@@ -37,6 +42,7 @@ from helpers import (
     one_var_upto,
     pos_words_st,
     terms_st,
+    words_st,
 )
 
 x1, x2, x3, x4 = Leaf(1), Leaf(2), Leaf(3), Leaf(4)
@@ -113,6 +119,16 @@ def test_positive_traces_nonempty_injective(u):
     assert tr is not None
     assert is_injective(tr.left)
     assert is_canonical(tr.left) and is_canonical(tr.right)
+
+
+@settings(max_examples=200)
+@given(words_st)
+def test_trace_right_uses_only_variables_of_the_left(w):
+    # letters copy and drop subterms but never make new ones, so `trace`
+    # can rename the pair by first occurrence in its left term alone
+    tr = trace(w)
+    if tr is not None:
+        assert set(variables(tr.right)) <= set(variables(tr.left))
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,6 +212,20 @@ def test_oracle_keeps_nothing_after_it_returns():
     finally:
         tracemalloc.stop()
     assert kept < 2**20
+
+
+def test_oracle_on_deep_left_combs_does_not_crash():
+    # two 200,000-level left combs over x1 that differ only at the bottom, in
+    # a fresh interpreter, since a C stack overflow kills the whole process
+    code = ("from cdcalc import Leaf, Node, oracle_equiv\n"
+            "x = Leaf(1)\n"
+            "t, t2 = x * x, (x * x) * x\n"
+            "for _ in range(200000):\n"
+            "    t, t2 = Node(t, x), Node(t2, x)\n"
+            "print(oracle_equiv(t, t2, 0).value)\n")
+    src = str(Path(cdcalc.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+    assert (out.returncode, out.stdout.strip()) == (0, "NotEquivalent"), out.stderr
 
 
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])

@@ -112,7 +112,7 @@ def test_classification_invariant_under_relation_substitution():
         u, v = rng.choice(rels)
         assert classify(prefix + u + suffix) == classify(prefix + v + suffix)
         a = Letter(rng.choice(addrs), 1)
-        assert classify(prefix + (a, a.inverse()) + suffix) == classify(prefix + suffix)
+        assert classify(prefix + (a,) + inverse((a,)) + suffix) == classify(prefix + suffix)
 
 
 def test_decide_one_variable_examples():

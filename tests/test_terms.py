@@ -132,6 +132,36 @@ def test_skeleton_and_predicates():
     assert project(x2 * (x3 * x1)) == x1 * (x1 * x1)
 
 
+def _nested_shape(t):
+    # the shape as nested pairs, () for a leaf: the reference for skeleton
+    return () if type(t) is Leaf else (_nested_shape(t.left), _nested_shape(t.right))
+
+
+@given(terms_st)
+def test_skeleton_is_the_preorder_code(t):
+    code = skeleton(t)
+    assert isinstance(code, str) and len(code) == 2 * t.size - 1
+    if type(t) is Leaf:
+        assert code == "0"
+    else:
+        assert code == "1" + skeleton(t.left) + skeleton(t.right)
+        assert code[2 * t.left.size:] == skeleton(t.right)
+
+
+@given(terms_st, terms_st)
+def test_skeletons_compare_as_nested_shapes(t, t2):
+    a, b = skeleton(t), skeleton(t2)
+    assert (a == b) == (_nested_shape(t) == _nested_shape(t2))
+    assert (a < b) == (_nested_shape(t) < _nested_shape(t2))
+
+
+def test_skeletons_sort_as_nested_shapes():
+    # one-variable terms up to size 7 are all shapes up to size 7, each once
+    shapes = one_var_upto(7)
+    assert len({skeleton(t) for t in shapes}) == len(shapes)
+    assert sorted(shapes, key=skeleton) == sorted(shapes, key=_nested_shape)
+
+
 def test_project_keeps_subterms_of_x1():
     for t in one_var_upto(6):
         assert project(t) is t
@@ -217,6 +247,7 @@ def test_deep_terms_do_not_recurse():
         left = Node(left, x1)
     assert parse_term(render_term(left)) == left
     assert left_iter(left, 3) == deep
-    assert skeleton(deep) is not None
+    assert skeleton(deep) == "10" * 4999 + "0"
+    assert hash(skeleton(left)) == hash("111" + skeleton(deep) + "000")
     assert deep == right_comb(5000)
     assert hash(deep) == hash(right_comb(5000))
