@@ -26,6 +26,14 @@ def one_var_upto(n):
     return [t for k in range(1, n + 1) for t in one_var_terms(k)]
 
 
+def random_term(rng, n, nvars):
+    """A term of size n over x1..x_nvars, split and labelled by `rng`."""
+    if n == 1:
+        return Leaf(rng.randint(1, nvars))
+    k = rng.randint(1, n - 1)
+    return Node(random_term(rng, k, nvars), random_term(rng, n - k, nvars))
+
+
 @lru_cache(maxsize=None)
 def _injective_from(n, start):
     if n == 1:

@@ -99,6 +99,8 @@ def test_a_leading_inverse_letter_needs_a_separator(capsys):
       "((((x1 x1) (x1 x1)) ((x1 x1) (x1 x1))) (((x1 x1) (x1 x1)) ((x1 x1) (x1 x1))))"],
      "redressing stopped at its budget after 20 steps; the word has 48 letters, the input had 55; "
      "at right-spine level 0 of 4, after 2 levels found P_zero"),
+    (["--max-size", "5", "partial", "(x1 (x1 (x1 x1)))"],
+     "partial grew past 5 leaves: its finished parts hold 8"),
 ])
 def test_ceilings_end_in_the_error_envelope(capsys, args, error):
     assert main(["--json", *args]) == 2

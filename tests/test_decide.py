@@ -44,6 +44,7 @@ from helpers import (
     labeled_upto,
     left_iter,
     one_var_upto,
+    random_term,
 )
 
 x = X
@@ -266,13 +267,6 @@ def test_a_budget_error_names_the_spine_level():
     assert decide(t, t2, budget=55) is True
 
 
-def _random_term(rng, n, nvars):
-    if n == 1:
-        return Leaf(rng.randint(1, nvars))
-    k = rng.randint(1, n - 1)
-    return Node(_random_term(rng, k, nvars), _random_term(rng, n - k, nvars))
-
-
 def test_decide_agrees_with_the_oracle_on_random_same_spine_pairs():
     # a third of the pairs are signed walks, the rest random terms of one
     # size and spine profile
@@ -281,11 +275,11 @@ def test_decide_agrees_with_the_oracle_on_random_same_spine_pairs():
     pairs = 0
     while pairs < 300:
         n, nvars = rng.randint(6, 12), rng.randint(1, 3)
-        t = canonicalize(_random_term(rng, n, nvars))
+        t = canonicalize(random_term(rng, n, nvars))
         if pairs % 3 == 0:
             t2 = _signed_walk(rng, t, rng.randint(1, 3))
         else:
-            t2 = canonicalize(_random_term(rng, n, nvars))
+            t2 = canonicalize(random_term(rng, n, nvars))
             if not same_spine(t, t2):
                 continue
         pairs += 1

@@ -1,9 +1,11 @@
+import random
 import tracemalloc
 
 import pytest
 
 from cdcalc import (
     Letter,
+    Node,
     SizeLimitExceeded,
     apply_letter,
     apply_word,
@@ -18,13 +20,14 @@ from cdcalc import (
     partial_iter,
     pos_equiv,
     pos_word,
+    render_term,
     render_word,
     right_comb,
     right_height,
     shift,
     subterm,
 )
-from helpers import X, is_expansion, labeled_upto, one_var_upto
+from helpers import X, is_expansion, labeled_upto, one_var_upto, random_term
 
 x = X
 
@@ -100,11 +103,17 @@ def _reference_delta(t):
     return out
 
 
+def _garside_cases():
+    # partials and combs share many subterms, each spread at several
+    # addresses; the random terms have partials of up to ~10^3 leaves
+    rng = random.Random(13)
+    return (list(labeled_upto(5, 2)) + [partial(t) for t in labeled_upto(4, 2)]
+            + [right_comb(p) for p in range(1, 11)]
+            + [random_term(rng, rng.randint(8, 14), rng.randint(1, 3)) for _ in range(300)])
+
+
 def test_delta_matches_its_definition():
-    # partials and combs share many subterms, each spread at several addresses
-    cases = (list(labeled_upto(5, 2)) + [partial(t) for t in labeled_upto(4, 2)]
-             + [right_comb(p) for p in range(1, 11)])
-    for t in cases:
+    for t in _garside_cases():
         assert delta(t) == _reference_delta(t)
 
 
@@ -145,6 +154,27 @@ def test_partial_size_ceiling():
         partial_iter(x * (x * (x * (x * x))), 6, max_size=500)
     with pytest.raises(ValueError):
         partial_iter(x, -1)
+
+
+def test_partial_is_the_action_of_delta():
+    for t in _garside_cases():
+        assert partial(t) == apply_word(t, delta(t)), render_term(t)
+
+
+def test_partial_size_ceiling_is_exact():
+    for t in _garside_cases():
+        size = partial(t).size
+        assert partial(t, max_size=size).size == size
+        with pytest.raises(SizeLimitExceeded):
+            partial(t, max_size=size - 1)
+
+
+def test_partial_of_a_deep_left_comb():
+    # a left comb is its own partial; its 10^5 levels must not recurse
+    comb = x
+    for _ in range(10**5 - 1):
+        comb = Node(comb, x)
+    assert partial(comb) == comb
 
 
 def test_delta_size_ceiling():
@@ -193,7 +223,7 @@ def _applicable_words(t, length):
 
 
 def test_delta_transport_postcondition_sweep():
-    for t in one_var_upto(5):
+    for t in one_var_upto(5) + labeled_upto(4, 2):
         for u in _applicable_words(t, 2):
             t2 = apply_word(t, u)
             u2 = delta_transport(t, u)
@@ -267,3 +297,12 @@ def test_lcm():
     assert lcm(u, u) == u
     assert lcm(u, ()) == u
     assert lcm((), u) == u
+
+
+def test_lcm_is_symmetric_sweep():
+    # u.(u\v) == v.(v\u), on the words up to 2 letters applicable to a term
+    for t in labeled_upto(4, 2):
+        words = [u for n in range(3) for u in _applicable_words(t, n)]
+        for u in words:
+            for v in words:
+                assert pos_equiv(lcm(u, v), v + complement(v, u)), (render_word(u), render_word(v))
