@@ -4,7 +4,20 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from cdcalc import Leaf, Letter, Node, expansions, first_occurrences, pos_word, variables
+from cdcalc import (
+    Fraction,
+    Leaf,
+    Letter,
+    Node,
+    StepBudgetExceeded,
+    expansions,
+    f_cd,
+    first_occurrences,
+    inverse,
+    pos_word,
+    variables,
+)
+from cdcalc.redress import DEFAULT_BUDGET
 
 X = Leaf(1)
 
@@ -132,6 +145,31 @@ def match(pattern, target):
             stack.append((p.left, t.left))
             stack.append((p.right, t.right))
     return bindings
+
+
+def reference_redress(w, budget=None):
+    """Redressing that consults the complement table f_cd at every cell,
+    trivial or not: (fraction, steps), or StepBudgetExceeded past `budget`
+    with the same message as `redress`."""
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    done, todo = [], list(reversed(w))
+    steps = 0
+    while todo:
+        b = todo.pop()
+        if b.sign > 0 and done and done[-1].sign < 0:
+            steps += 1
+            if steps > budget:
+                raise StepBudgetExceeded(
+                    f"redressing stopped at its budget after {budget} steps; the word "
+                    f"has {len(done) + len(todo) + 1} letters, the input had {len(w)}")
+            a = done.pop()
+            todo += [Letter(x, -1) for x in f_cd(b.addr, a.addr)]
+            todo += [Letter(x, 1) for x in reversed(f_cd(a.addr, b.addr))]
+        else:
+            done.append(b)
+    num = tuple(letter for letter in done if letter.sign > 0)
+    return Fraction(num, inverse(done[len(num):])), steps
 
 
 def _addresses(maxlen):

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 
 from cdcalc import (
     Fraction,
+    Letter,
     StepBudgetExceeded,
     apply_word,
     chi,
     complement,
+    delta,
+    expansions,
     f_cd,
     group_equiv,
     inverse,
@@ -25,7 +28,15 @@ from cdcalc import (
     trace,
 )
 from cdcalc.cli import main
-from helpers import cd_relations, pos_words_st, terms_st, words_st
+from helpers import (
+    cd_relations,
+    labeled_upto,
+    one_var_upto,
+    pos_words_st,
+    reference_redress,
+    terms_st,
+    words_st,
+)
 
 
 def test_f_cd_table():
@@ -94,6 +105,59 @@ def test_redress_budget():
     assert str(err.value) == (
         "redressing stopped at its budget after 1085 steps; the word has 85 letters, "
         "the input had 1220")
+
+
+def assert_matches_reference(w):
+    """redress gives the table-driven reversal's fraction, in exactly its
+    number of steps, and the same budget error one step short."""
+    fraction, steps = reference_redress(w)
+    assert redress(w, budget=steps) == fraction, render_word(w)
+    if steps:
+        with pytest.raises(StepBudgetExceeded) as err:
+            redress(w, budget=steps - 1)
+        with pytest.raises(StepBudgetExceeded) as ref:
+            reference_redress(w, budget=steps - 1)
+        assert str(err.value) == str(ref.value), render_word(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words_st)
+def test_redress_matches_reference_on_generated_words(w):
+    assert_matches_reference(w)
+
+
+def test_redress_matches_reference_on_random_words():
+    rng = random.Random(14)
+    addrs = [""] + ["".join(p) for n in (1, 2, 3) for p in product("01", repeat=n)]
+    for _ in range(300):
+        assert_matches_reference(tuple(
+            Letter(rng.choice(addrs), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, 12))))
+
+
+def test_redress_matches_reference_on_blueprint_differences():
+    blueprints = [chi(t) for t in one_var_upto(6)]
+    for s in blueprints:
+        for t in blueprints:
+            assert_matches_reference(inverse(s) + t)
+
+
+def test_redress_matches_reference_on_delta_transports():
+    for t in labeled_upto(4, 2):
+        for addr, e in expansions(t):
+            assert_matches_reference(inverse(delta(t)) + pos_word([addr]) + delta(e))
+
+
+def test_commutation_steps_count_toward_the_budget():
+    # every cell of (-0)^n.1^n is a commutation of disjoint addresses
+    n = 30
+    w = parse_word(".".join(["-0"] * n + ["1"] * n))
+    assert redress(w, budget=n * n) == Fraction(pos_word(["1"] * n), pos_word(["0"] * n))
+    with pytest.raises(StepBudgetExceeded) as err:
+        redress(w, budget=n * n - 1)
+    assert str(err.value) == (
+        "redressing stopped at its budget after 899 steps; the word has 60 letters, "
+        "the input had 60")
 
 
 def test_long_words_redress_in_linear_time():
