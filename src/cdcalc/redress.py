@@ -4,10 +4,13 @@ Every pair of addresses (a, b) has a positive complement word f_cd(a, b)
 such that a.f_cd(a, b) and b.f_cd(b, a) present the same monoid element;
 redressing repeatedly replaces a factor a^-1.b by f_cd(a, b).f_cd(b, a)^-1
 until the word is a fraction: all positive letters before all negative
-ones.  Most such cells are trivial: equal addresses cancel, and disjoint
-addresses (neither a prefix of the other) commute, so a^-1.b becomes
-b.a^-1 with the same two letters moved; only prefix-related addresses
-consult f_cd.  Each cell, trivial or not, is one step.
+ones.  Each such cell is one step.  Most cells are trivial: equal
+addresses cancel, and disjoint addresses (neither a prefix of the other)
+commute, a^-1.b becoming b.a^-1.  So a positive letter finds its next
+nontrivial cell by scanning leftwards past the negatives it commutes with,
+counting one step for each, and moves across the whole run at once; only
+prefix-related addresses consult f_cd.  By the reversal grid, the fraction
+does not depend on the order of the cells.
 
 Redressing always terminates; for positive u and v, one reversal of u^-1.v
 yields both complements, as the fraction (u\\v).(v\\u)^-1, and u and v
@@ -18,7 +21,7 @@ positive-word and group word problems, both exposed here.
 from typing import NamedTuple, Optional
 
 from .errors import StepBudgetExceeded
-from .words import Letter, Word, inverse, is_positive, positive_addresses, render_word
+from .words import Word, inverse, pos_word, positive_addresses, render_word
 
 DEFAULT_BUDGET = 10**6
 
@@ -60,46 +63,84 @@ class Fraction(NamedTuple):
 def redress(w: Word, budget: Optional[int] = None) -> Fraction:
     """Redress w to its unique fraction form, leftmost eligible factor first.
 
-    One loop over two stacks: `done`, a prefix with no negative letter
-    before a positive one, and `todo`, the rest of the word reversed.
-    A cell a^-1.b with equal addresses cancels; with disjoint addresses it
-    commutes, pushing the letters a and b themselves back as b.a^-1; only
-    when one address is a proper prefix of the other does it consult f_cd.
+    The word is held as plain addresses in a gap buffer:
+    - `left`, the letters before the gap: its positives in left[:npos],
+      then its negatives, in word order;
+    - `right`, the negatives after the gap, reversed;
+    - `pending`, a stack of positive addresses still to place, each
+      tagged with len(right) when its cell made it: right[tag:] stands
+      between the gap and the letter, and comes back to `left` before the
+      letter's scan.
+    A positive letter y at the gap finds its next cell by a read-only scan
+    leftwards over the negatives of `left`, passing every disjoint address
+    and stopping at the first prefix-related one, x.  The whole scan is
+    then applied at once: y escapes past every negative into left[npos];
+    or x = y cancels, deleting one entry; or the passed run crosses the gap
+    in one slice, f_cd(y, x) goes onto `right` and f_cd(x, y) onto
+    `pending`.  Positives and negatives thus live in separate ranges, so
+    the loop ends on a fraction by construction and needs no closing check.
+
+    Every cell, a passed commutation too, counts as one step, in the order
+    of a reversal that takes the leftmost cell a^-1.b each time: the
+    fraction, the step count and the budget error are that reversal's, and
+    so is the word length the error reports, since commutations keep it.
+    An insertion or deletion in `left` shifts only the passed run, and a
+    slice carries a letter across the gap only after a step passed it or a
+    cell wrote it, and back at most once for that, so the work is O(1)
+    amortised per step.
 
     Termination is guaranteed, but not speed: blueprint differences of
     random 32-leaf terms can need 10**6 to 10**7 steps.  `budget` (default
     10**6 replacement steps) is a resource limit; past it, redressing stops
-    with StepBudgetExceeded.  Every cell, a cancellation or commutation
-    too, counts as one step.
+    with StepBudgetExceeded.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
-    done, todo = [], list(reversed(w))
-    steps = 0
-    while todo:
-        b = todo.pop()
-        if b.sign > 0 and done and done[-1].sign < 0:
-            steps += 1
-            if steps > budget:
-                raise StepBudgetExceeded(
-                    f"redressing stopped at its budget after {budget} steps; the word "
-                    f"has {len(done) + len(todo) + 1} letters, the input had {len(w)}")
-            a = done.pop()
-            x, y = a.addr, b.addr
-            if x == y:
-                continue
-            if x.startswith(y) or y.startswith(x):
-                todo += [Letter(z, -1) for z in f_cd(y, x)]
-                todo += [Letter(z, 1) for z in reversed(f_cd(x, y))]
-            else:
-                todo += (a, b)
+    left, right, pending = [], [], []
+    npos = steps = read = 0
+    while True:
+        if pending:
+            y, tag = pending.pop()
+            if tag < len(right):
+                left += reversed(right[tag:])
+                del right[tag:]
         else:
-            done.append(b)
-    num = tuple(letter for letter in done if letter.sign > 0)
-    den = inverse(done[len(num):])
-    if not is_positive(den):
-        raise AssertionError("redressing stopped on a non-fraction word")
-    return Fraction(num, den)
+            if right:
+                left += reversed(right)
+                right.clear()
+            if read == len(w):
+                break
+            y, sign = w[read]
+            read += 1
+            if sign < 0:
+                left.append(y)
+                continue
+        end = len(left)
+        i = end - 1
+        while i >= npos:
+            x = left[i]
+            if x.startswith(y) or y.startswith(x):
+                break
+            i -= 1
+        steps += end - i if i >= npos else end - npos
+        if steps > budget:
+            raise StepBudgetExceeded(
+                f"redressing stopped at its budget after {budget} steps; the word has "
+                f"{end + len(right) + len(pending) + 1 + len(w) - read} letters, "
+                f"the input had {len(w)}")
+        if i < npos:
+            left.insert(npos, y)
+            npos += 1
+        elif x == y:
+            del left[i]
+        else:
+            right += left[:i:-1]  # the passed run, reversed
+            del left[i:]
+            right += f_cd(y, x)
+            tag = len(right)
+            for z in reversed(f_cd(x, y)):
+                pending.append((z, tag))
+    return Fraction(pos_word(left[:npos]), pos_word(reversed(left[npos:])))
 
 
 def complement(u: Word, v: Word, budget: Optional[int] = None) -> Word:

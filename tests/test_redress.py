@@ -148,6 +148,69 @@ def test_redress_matches_reference_on_delta_transports():
             assert_matches_reference(inverse(delta(t)) + pos_word([addr]) + delta(e))
 
 
+def assert_budget_sweep(w):
+    """At every budget from 0 to the step count, redress gives the
+    reference's fraction or exactly its error text: the word length the
+    error reports is right at every stopping point, inside a passed run
+    of commutations too."""
+    fraction, steps = reference_redress(w)
+    for budget in range(steps):
+        with pytest.raises(StepBudgetExceeded) as err:
+            redress(w, budget=budget)
+        with pytest.raises(StepBudgetExceeded) as ref:
+            reference_redress(w, budget=budget)
+        assert str(err.value) == str(ref.value), (render_word(w), budget)
+    assert redress(w, budget=steps) == fraction, render_word(w)
+
+
+def test_budget_sweep_on_a_comb_difference():
+    assert_budget_sweep(comb_difference(5))
+
+
+def test_budget_sweep_on_delta_transports():
+    for t in labeled_upto(4, 2):
+        for addr, e in expansions(t):
+            assert_budget_sweep(inverse(delta(t)) + pos_word([addr]) + delta(e))
+
+
+def test_budget_sweep_on_random_words():
+    rng = random.Random(15)
+    addrs = [""] + ["".join(p) for n in (1, 2, 3) for p in product("01", repeat=n)]
+    for _ in range(100):
+        assert_budget_sweep(tuple(
+            Letter(rng.choice(addrs), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, 16))))
+
+
+def split_word(rng):
+    """8 to 40 letters in runs of one sign, each run drawn under one side,
+    0 or 1, or at the root: a letter under 1 passes a whole run under 0,
+    and its cells then fall to the left of the run."""
+    sides = {side: [side + "".join(p) for n in (0, 1, 2) for p in product("01", repeat=n)]
+             for side in "01"}
+    length, w = rng.randint(8, 40), []
+    while len(w) < length:
+        addrs, sign = sides[rng.choice("01")] + [""], rng.choice((1, -1))
+        w += [Letter(rng.choice(addrs), sign) for _ in range(rng.randint(1, 8))]
+    return tuple(w[:length])
+
+
+def test_redress_matches_reference_across_passed_runs():
+    rng = random.Random(16)
+    for _ in range(200):
+        assert_matches_reference(split_word(rng))
+
+
+def test_two_positives_of_one_cell_after_a_passed_run():
+    # 1 passes -00 and -01, then meets -e: the cell e^-1.1 yields 1.e.(e.0)^-1,
+    # two pending positives with one tag; 1 then meets -10 and writes -100,
+    # which must come back to the left of the gap before e is placed
+    w = parse_word("-10.-e.-01.-00.1.-11.0")
+    assert_budget_sweep(w)
+    assert reference_redress(w)[1] == 16
+    assert str(redress(w)) == "1.e.000.0000 | 11.000.01.0.e.0.010.100"
+
+
 def test_commutation_steps_count_toward_the_budget():
     # every cell of (-0)^n.1^n is a commutation of disjoint addresses
     n = 30
