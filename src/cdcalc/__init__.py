@@ -40,7 +40,6 @@ from .terms import (
     spine_profile,
     substitute,
     subterm,
-    unify,
     variables,
 )
 from .words import (

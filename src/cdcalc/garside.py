@@ -5,11 +5,12 @@ phi^(p) along the right spine, whose action on t is always defined.  The
 expansion partial(t) = (t)delta(t) dominates short expansions: any word of
 length n applicable to t left-divides the product of the first n deltas.
 That yields common right multiples, right lcms, and the confluence of
-expansions.  partial is built directly, as a product of the partials of
-smaller terms, without spelling out delta(t) or applying it.  Outputs of
-iterated partial grow as towers of exponentials; callers bound the
-iteration count, and a configurable size ceiling turns runaway growth into
-a SizeLimitExceeded error instead of a hang.
+expansions.  delta is read off lists of left factors down right spines,
+without building the terms it spreads.  partial is built directly, as a
+product of the partials of smaller terms, without spelling out delta(t) or
+applying it.  Outputs of iterated partial grow as towers of exponentials;
+callers bound the iteration count, and a configurable size ceiling turns
+runaway growth into a SizeLimitExceeded error instead of a hang.
 """
 
 from typing import Optional
@@ -24,41 +25,60 @@ from .words import Letter, Word, inverse, positive_addresses, render_word
 def delta(t: Term, max_size: Optional[int] = None) -> Word:
     """The distinguished positive word of t.
 
-    With h the right height and (t)phi^(h-1) = s0*(s1*(...(s_{h-1}*x)...)),
-    this is phi^(h-1) followed by the deltas of the s_i shifted under
-    1^i 0.  Empty on a leaf.  Definedness of the action is an invariant,
-    not a precondition.
+    With h the right height, left factors l_0 ... l_{h-1} down the right
+    spine and rightmost leaf x, (t)phi^(h-1) = s0*(s1*(...(s_{h-1}*x)...))
+    with the spreads s_{h-1} = l_{h-1} and s_i = l_i * s_{i+1}.  delta(t)
+    is phi^(h-1) followed by the deltas of the s_i shifted under 1^i 0.
+    Empty on a leaf.  Definedness of the action is an invariant, not a
+    precondition.
 
-    With `max_size`, raise SizeLimitExceeded as soon as a spread term or a
-    built word is larger.  That happens only where partial(t, max_size)
-    raises anyway: every positive letter adds at least one leaf, so
-    len(delta(t)) <= size(partial t) - size(t), and every spread is a
-    subterm of an intermediate term of (t)delta(t).
+    No spread is built.  A list L at an index k stands for the right-nested
+    product L[k] * (L[k+1] * (... * L[-1])), whose left factors down the
+    right spine are L[k:-1] followed by those of L[-1].  So s_k is the list
+    l_0 ... l_{h-1} at k, and each spread's spreads come from its list alike.
+
+    With `max_size`, raise SizeLimitExceeded as soon as some (u)phi^(h-1),
+    for u = t or a spread met on the way, or the built word is larger.
+    That happens only where partial(t, max_size) raises anyway: every
+    positive letter adds at least one leaf, so len(delta(t)) <=
+    size(partial t) - size(t), and every spread is a subterm of an
+    intermediate term of (t)delta(t).
     """
-    # Preorder over (subterm, address) pairs, leaves skipped: each letter is
-    # built once, at its final address, and nothing is kept but the output.
-    out = []
-    stack = [(t, "")]
-    while stack:
-        term, prefix = stack.pop()
-        # (term)phi^(h-1) is s0*(s1*(...(s_{h-1}*x))) with s_{h-1} the last
-        # left factor of the right spine and s_i = left_i * s_{i+1}
-        spreads, cur = [], term
+    # Preorder over spreads, leaves skipped: each letter is built once, at
+    # its final address, and nothing is kept but the output.  s_0 is walked
+    # next and the other spreads wait on the stack.
+    out, stack = [], []
+    lst, i, prefix = [t], 0, ""
+    while True:
+        spine, cur = lst[i:-1], lst[-1]
         while type(cur) is Node:
-            spreads.append(cur.left)
+            spine.append(cur.left)
             cur = cur.right
-        h = len(spreads)
-        for i in range(h - 2, -1, -1):
-            spreads[i] = Node(spreads[i], spreads[i + 1])
-        if max_size is not None and 1 + sum(s.size for s in spreads) > max_size:
-            raise SizeLimitExceeded(f"delta spread a term past {max_size} leaves")
-        out.extend(Letter(prefix + "1" * k, 1) for k in range(h - 2, -1, -1))
-        if max_size is not None and len(out) > max_size:
-            raise SizeLimitExceeded(
-                f"delta grew past {max_size} letters, so its expansion passes {max_size} leaves")
-        stack.extend((spreads[i], prefix + "1" * i + "0")
-                     for i in range(h - 1, -1, -1) if type(spreads[i]) is Node)
-    return tuple(out)
+        h = len(spine)
+        if max_size is not None:
+            # size(s_k) is the summed size of spine[k:]
+            total = run = 0
+            for s in reversed(spine):
+                run += s.size
+                total += run
+            if 1 + total > max_size:
+                raise SizeLimitExceeded(f"delta spread a term past {max_size} leaves")
+        if h > 1:
+            out.extend([Letter(prefix + "1" * k, 1) for k in range(h - 2, -1, -1)])
+            if max_size is not None and len(out) > max_size:
+                raise SizeLimitExceeded(
+                    f"delta grew past {max_size} letters, so its expansion passes {max_size} leaves")
+            # s_{h-1} = l_{h-1} may be a leaf; the other spreads are products
+            if type(spine[-1]) is Node:
+                stack.append((spine, h - 1, prefix + "1" * (h - 1) + "0"))
+            if h > 2:
+                stack.extend([(spine, k, prefix + "1" * k + "0") for k in range(h - 2, 0, -1)])
+        elif h == 0 or type(spine[0]) is not Node:
+            if not stack:
+                return tuple(out)
+            lst, i, prefix = stack.pop()
+            continue
+        lst, i, prefix = spine, 0, prefix + "0"
 
 
 def partial(t: Term, max_size: Optional[int] = DEFAULT_MAX_SIZE) -> Term:

@@ -63,36 +63,28 @@ class Fraction(NamedTuple):
 def redress(w: Word, budget: Optional[int] = None) -> Fraction:
     """Redress w to its unique fraction form, leftmost eligible factor first.
 
-    The word is held as plain addresses in a gap buffer:
-    - `left`, the letters before the gap: its positives in left[:npos],
-      then its negatives, in word order;
-    - `right`, the negatives after the gap, reversed;
-    - `pending`, a stack of positive addresses still to place, each
-      tagged with len(right) when its cell made it: right[tag:] stands
-      between the gap and the letter, and comes back to `left` before the
-      letter's scan.
-    A positive letter y at the gap finds its next cell by a read-only scan
-    leftwards over the negatives of `left`, passing every disjoint address
-    and stopping at the first prefix-related one, x.  The whole scan is
-    then applied at once: y escapes past every negative into left[npos];
-    or x = y cancels, deleting one entry; or the passed run crosses the gap
-    in one slice, f_cd(y, x) goes onto `right` and f_cd(x, y) onto
-    `pending`.  Positives and negatives thus live in separate ranges, so
-    the loop ends on a fraction by construction and needs no closing check.
+    The word is held as addresses in a gap buffer: `left`, the letters
+    before the gap, positives in left[:npos] and then negatives; `right`,
+    the negatives after the gap, reversed; `pending`, the positives still
+    to place, each tagged with len(right) when its cell made it, so that
+    right[tag:] returns to `left` before its scan.  A positive letter at the
+    gap scans leftwards over the negatives of `left` to the first
+    prefix-related one, and the scan is applied at once: the letter escapes,
+    cancels, or sends the passed run across the gap in one slice.  The loop
+    thus ends on a fraction by construction.
 
     Every cell, a passed commutation too, counts as one step, in the order
-    of a reversal that takes the leftmost cell a^-1.b each time: the
-    fraction, the step count and the budget error are that reversal's, and
-    so is the word length the error reports, since commutations keep it.
-    An insertion or deletion in `left` shifts only the passed run, and a
-    slice carries a letter across the gap only after a step passed it or a
-    cell wrote it, and back at most once for that, so the work is O(1)
-    amortised per step.
+    of the reversal that takes the leftmost cell a^-1.b each time: the
+    fraction, the step count and the budget error, with its word length,
+    are that reversal's.  An insertion or deletion in `left` shifts only
+    the passed run, and a slice carries a letter across the gap only after
+    a step passed it or a cell wrote it, and back at most once for that, so
+    the work is O(1) amortised per step.
 
     Termination is guaranteed, but not speed: blueprint differences of
     random 32-leaf terms can need 10**6 to 10**7 steps.  `budget` (default
-    10**6 replacement steps) is a resource limit; past it, redressing stops
-    with StepBudgetExceeded.
+    10**6 steps) is a resource limit; past it, redressing stops with
+    StepBudgetExceeded.
     """
     if budget is None:
         budget = DEFAULT_BUDGET

@@ -249,19 +249,6 @@ def _occurs(index, t, subst):
     return False
 
 
-def unify(t1: Term, t2: Term):
-    """Most general unifier of t1 and t2, or None on failure (occurs check).
-
-    Variables with the same index in both terms are shared; renaming apart,
-    when wanted, is the caller's job.  The result is idempotent: no bound
-    variable occurs in any image.
-    """
-    subst = {}
-    if not unify_into(t1, t2, subst):
-        return None
-    return {v: resolve(img, subst) for v, img in subst.items()}
-
-
 def unify_into(t1: Term, t2: Term, subst: dict) -> bool:
     """Extend the triangular substitution `subst` (an image may hold bound
     variables) in place to a most general unifier of t1 and t2; False on

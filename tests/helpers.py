@@ -9,6 +9,7 @@ from cdcalc import (
     Leaf,
     Letter,
     Node,
+    SizeLimitExceeded,
     StepBudgetExceeded,
     expansions,
     f_cd,
@@ -18,6 +19,7 @@ from cdcalc import (
     variables,
 )
 from cdcalc.redress import DEFAULT_BUDGET
+from cdcalc.terms import resolve, unify_into
 
 X = Leaf(1)
 
@@ -147,6 +149,19 @@ def match(pattern, target):
     return bindings
 
 
+def unify(t1, t2):
+    """Most general unifier of t1 and t2, or None on failure (occurs check).
+
+    Variables with the same index in both terms are shared; renaming apart,
+    when wanted, is the caller's job.  The result is idempotent: no bound
+    variable occurs in any image.
+    """
+    subst = {}
+    if not unify_into(t1, t2, subst):
+        return None
+    return {v: resolve(img, subst) for v, img in subst.items()}
+
+
 def reference_redress(w, budget=None):
     """Redressing that consults the complement table f_cd at every cell,
     trivial or not: (fraction, steps), or StepBudgetExceeded past `budget`
@@ -170,6 +185,34 @@ def reference_redress(w, budget=None):
             done.append(b)
     num = tuple(letter for letter in done if letter.sign > 0)
     return Fraction(num, inverse(done[len(num):])), steps
+
+
+def reference_delta(t, max_size=None):
+    """delta(t) by the plain walk: each spread is built as a Node, then its
+    right spine is walked.  `delta` must give the same words and the same
+    SizeLimitExceeded texts."""
+    out = []
+    stack = [(t, "")]
+    while stack:
+        term, prefix = stack.pop()
+        # (term)phi^(h-1) is s0*(s1*(...(s_{h-1}*x))) with s_{h-1} the last
+        # left factor of the right spine and s_i = left_i * s_{i+1}
+        spreads, cur = [], term
+        while type(cur) is Node:
+            spreads.append(cur.left)
+            cur = cur.right
+        h = len(spreads)
+        for i in range(h - 2, -1, -1):
+            spreads[i] = Node(spreads[i], spreads[i + 1])
+        if max_size is not None and 1 + sum(s.size for s in spreads) > max_size:
+            raise SizeLimitExceeded(f"delta spread a term past {max_size} leaves")
+        out.extend(Letter(prefix + "1" * k, 1) for k in range(h - 2, -1, -1))
+        if max_size is not None and len(out) > max_size:
+            raise SizeLimitExceeded(
+                f"delta grew past {max_size} letters, so its expansion passes {max_size} leaves")
+        stack.extend((spreads[i], prefix + "1" * i + "0")
+                     for i in range(h - 1, -1, -1) if type(spreads[i]) is Node)
+    return tuple(out)
 
 
 def _addresses(maxlen):

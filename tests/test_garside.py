@@ -27,7 +27,7 @@ from cdcalc import (
     shift,
     subterm,
 )
-from helpers import X, is_expansion, labeled_upto, one_var_upto, random_term
+from helpers import X, is_expansion, labeled_upto, one_var_upto, random_term, reference_delta
 
 x = X
 
@@ -184,6 +184,32 @@ def test_delta_size_ceiling():
         assert delta(t, max_size=partial(t).size) == delta(t)
     with pytest.raises(SizeLimitExceeded):
         delta(partial(x * (x * (x * (x * x)))), max_size=20)
+
+
+def _delta_outcome(delta_fn, t, max_size):
+    try:
+        return delta_fn(t, max_size)
+    except SizeLimitExceeded as e:
+        return f"SizeLimitExceeded: {e}"
+
+
+def test_delta_matches_the_spread_building_reference_at_every_ceiling():
+    # _garside_cases() holds right_comb(1...10); ceilings around size(partial t)
+    # sit where the word check and the spread check trade places
+    for t in _garside_cases():
+        size = partial(t).size
+        for max_size in (None, *range(41), 64, 256, 1024, size - 1, size, size + 1):
+            assert (_delta_outcome(delta, t, max_size)
+                    == _delta_outcome(reference_delta, t, max_size)), (render_term(t), max_size)
+
+
+def test_delta_of_a_deep_left_comb():
+    # every spread down a left comb is a left comb with an empty delta; its
+    # 10^5 levels must not recurse
+    comb = x
+    for _ in range(10**5 - 1):
+        comb = Node(comb, x)
+    assert delta(comb) == ()
 
 
 def test_delta_left_factor():

@@ -15,7 +15,6 @@ from cdcalc import (
     skeleton,
     substitute,
     subterm,
-    unify,
 )
 from helpers import (
     injective_upto,
@@ -26,6 +25,7 @@ from helpers import (
     match,
     one_var_upto,
     terms_st,
+    unify,
 )
 
 x1, x2, x3, x4 = Leaf(1), Leaf(2), Leaf(3), Leaf(4)
