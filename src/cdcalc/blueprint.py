@@ -29,7 +29,6 @@ def star(u: Word, v: Word) -> Word:
 def chi(t: Term) -> Word:
     """The blueprint of a one-variable term; the unique homomorphism into
     words under star that sends x to the empty word."""
-    _require_one_variable(t)
     memo = {}
     stack = [t]
     while stack:
@@ -37,6 +36,8 @@ def chi(t: Term) -> Word:
         if cur in memo:
             continue
         if type(cur) is Leaf:
+            if cur.index != 1:
+                _require_one_variable(t)
             memo[cur] = ()
         elif cur.left in memo and cur.right in memo:
             memo[cur] = star(memo[cur.left], memo[cur.right])

@@ -8,9 +8,9 @@ ones.  Each such cell is one step.  Most cells are trivial: equal
 addresses cancel, and disjoint addresses (neither a prefix of the other)
 commute, a^-1.b becoming b.a^-1.  So a positive letter finds its next
 nontrivial cell by scanning leftwards past the negatives it commutes with,
-counting one step for each, and moves across the whole run at once; only
-prefix-related addresses consult f_cd.  By the reversal grid, the fraction
-does not depend on the order of the cells.
+counting one step for each, and moves across the whole run at once; a
+prefix-related cell reads f_cd's cases off the longer address inline.  By
+the reversal grid, the fraction does not depend on the order of the cells.
 
 Redressing always terminates; for positive u and v, one reversal of u^-1.v
 yields both complements, as the fraction (u\\v).(v\\u)^-1, and u and v
@@ -31,6 +31,7 @@ def f_cd(alpha: str, beta: str):
 
     Six cases: empty when alpha = beta; a00g when beta = a0g; a01g.a10g when
     beta = a10g; a1.a when beta = a1; b.b0 when alpha = b1; (beta,) otherwise.
+    `redress` mirrors these cases inline; the tests hold it to this table.
     """
     if alpha == beta:
         return ()
@@ -67,24 +68,23 @@ def redress(w: Word, budget: Optional[int] = None) -> Fraction:
     before the gap, positives in left[:npos] and then negatives; `right`,
     the negatives after the gap, reversed; `pending`, the positives still
     to place, each tagged with len(right) when its cell made it, so that
-    right[tag:] returns to `left` before its scan.  A positive letter at the
-    gap scans leftwards over the negatives of `left` to the first
-    prefix-related one, and the scan is applied at once: the letter escapes,
-    cancels, or sends the passed run across the gap in one slice.  The loop
-    thus ends on a fraction by construction.
+    right[tag:] returns to `left` before its scan.  A positive letter y at
+    the gap scans leftwards over the negatives of `left` to the first
+    prefix-related one x, and the scan is applied at once: y escapes,
+    cancels, or sends the passed run across the gap in one slice.  A prefix
+    cell puts f_cd(y, x) on `right`; the first letter of f_cd(x, y) is then
+    at the gap and scans on at once, and a second one waits on `pending`.
 
     Every cell, a passed commutation too, counts as one step, in the order
     of the reversal that takes the leftmost cell a^-1.b each time: the
     fraction, the step count and the budget error, with its word length,
-    are that reversal's.  An insertion or deletion in `left` shifts only
-    the passed run, and a slice carries a letter across the gap only after
-    a step passed it or a cell wrote it, and back at most once for that, so
-    the work is O(1) amortised per step.
-
-    Termination is guaranteed, but not speed: blueprint differences of
-    random 32-leaf terms can need 10**6 to 10**7 steps.  `budget` (default
-    10**6 steps) is a resource limit; past it, redressing stops with
-    StepBudgetExceeded.
+    are that reversal's.  Handing a letter on skips a pop that would move
+    nothing, so it changes no step.  An insertion or deletion in `left`
+    shifts only the passed run, and a slice carries a letter across the gap
+    only after a step passed it or a cell wrote it, and back at most once
+    for that: O(1) amortised work per step.  Termination is guaranteed, not
+    speed: blueprint differences of random 32-leaf terms can need 10**6 to
+    10**7 steps; past `budget` (default 10**6), StepBudgetExceeded is raised.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -107,31 +107,50 @@ def redress(w: Word, budget: Optional[int] = None) -> Fraction:
             if sign < 0:
                 left.append(y)
                 continue
-        end = len(left)
-        i = end - 1
-        while i >= npos:
-            x = left[i]
-            if x.startswith(y) or y.startswith(x):
+        while True:  # y scans on until it escapes or cancels
+            end = len(left)
+            i = end - 1
+            while i >= npos:
+                x = left[i]
+                if x.startswith(y) or y.startswith(x):
+                    break
+                i -= 1
+            steps += end - i if i >= npos else end - npos
+            if steps > budget:
+                raise StepBudgetExceeded(
+                    f"redressing stopped at its budget after {budget} steps; the word has "
+                    f"{end + len(right) + len(pending) + 1 + len(w) - read} letters, "
+                    f"the input had {len(w)}")
+            if i < npos:
+                left.insert(npos, y)
+                npos += 1
                 break
-            i -= 1
-        steps += end - i if i >= npos else end - npos
-        if steps > budget:
-            raise StepBudgetExceeded(
-                f"redressing stopped at its budget after {budget} steps; the word has "
-                f"{end + len(right) + len(pending) + 1 + len(w) - read} letters, "
-                f"the input had {len(w)}")
-        if i < npos:
-            left.insert(npos, y)
-            npos += 1
-        elif x == y:
-            del left[i]
-        else:
+            if x == y:
+                del left[i]
+                break
             right += left[:i:-1]  # the passed run, reversed
             del left[i:]
-            right += f_cd(y, x)
-            tag = len(right)
-            for z in reversed(f_cd(x, y)):
-                pending.append((z, tag))
+            n, m = len(x), len(y)
+            if n < m:  # y = x.r: f_cd(y, x) starts with x
+                right.append(x)
+                if y[n] == "0":
+                    y = x + "0" + y[n:]
+                elif m == n + 1:
+                    right.append(x + "0")
+                    pending.append((x, len(right)))
+                elif y[n + 1] == "0":
+                    pending.append((y, len(right)))
+                    y = x + "01" + y[n + 2:]
+            else:  # x = y.r: f_cd(x, y) starts with y
+                if x[m] == "0":
+                    right.append(y + "0" + x[m:])
+                elif n == m + 1:
+                    right += (x, y)
+                    pending.append((y + "0", len(right)))
+                elif x[m + 1] == "0":
+                    right += (y + "01" + x[m + 2:], x)
+                else:
+                    right.append(x)
     return Fraction(pos_word(left[:npos]), pos_word(reversed(left[npos:])))
 
 

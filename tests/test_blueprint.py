@@ -35,6 +35,15 @@ def test_chi_examples():
         chi(x * Leaf(2))
 
 
+def test_one_variable_errors_name_the_whole_term():
+    t = (x * x) * (x * Leaf(2))
+    for f in (chi, chi_star):
+        with pytest.raises(ValueError) as err:
+            f(t)
+        assert str(err.value) == (
+            "one-variable term required (all leaves x1): ((x1 x1) (x1 x2))")
+
+
 def test_chi_star_examples():
     assert chi_star(x) == ()
     assert chi_star(x * x) == ()

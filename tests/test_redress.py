@@ -211,6 +211,37 @@ def test_two_positives_of_one_cell_after_a_passed_run():
     assert str(redress(w)) == "1.e.000.0000 | 11.000.01.0.e.0.010.100"
 
 
+def test_prefix_cells_match_the_table():
+    # redress writes a cell's complements without calling f_cd; every cell
+    # x^-1.y of addresses up to length 4 must give f_cd's fraction, in one step
+    addrs = [""] + ["".join(p) for n in range(1, 5) for p in product("01", repeat=n)]
+    assert len(addrs) == 31
+    for x in addrs:
+        for y in addrs:
+            w = (Letter(x, -1), Letter(y, 1))
+            fraction = Fraction(pos_word(f_cd(x, y)), pos_word(f_cd(y, x)))
+            assert redress(w, budget=1) == fraction, (x, y)
+            with pytest.raises(StepBudgetExceeded):
+                redress(w, budget=0)
+
+
+@pytest.mark.parametrize("text", [
+    # a handed-on positive meets a second prefix cell at once: 11 meets -e
+    # and stays 11, then meets -1; 0 becomes 00 and cancels; 10 becomes 01
+    "-1.-e.11",
+    "-00.-e.0",
+    "-01.-e.10",
+    # a two-letter numerator whose second letter waits behind a passed run:
+    # e^-1.1 hands 1 on, which passes -00 and writes -100 past the tag of e
+    "-10.-00.-e.1",
+    # a chain of handed-on cells that ends in an escape past a positive
+    "0.-e.-1.-11.111",
+    "1.-0.-e.-10.100",
+])
+def test_budget_sweep_on_hand_off_shapes(text):
+    assert_budget_sweep(parse_word(text))
+
+
 def test_commutation_steps_count_toward_the_budget():
     # every cell of (-0)^n.1^n is a commutation of disjoint addresses
     n = 30
