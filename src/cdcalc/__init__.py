@@ -17,7 +17,7 @@ from .action import (
     oracle_equiv,
     trace,
 )
-from .blueprint import chi, chi_star, star
+from .blueprint import chi, star
 from .decide import Classification, Comparison, classify, compare, decide, dil
 from .errors import ParseError, SizeLimitExceeded, StepBudgetExceeded
 from .freesystem import Coset, coset_eq, coset_mul, coset_of_term

@@ -3,21 +3,13 @@
 The blueprint of a one-variable term t records how rewriting turns a tall
 right comb x^[p+1] into t*x^[p]: chi(x) is empty and chi(t0*t1) is
 chi(t0) . 1chi(t1) . phi . 1chi(t1)^-1, i.e. the star operation below
-applied to the sub-blueprints.  The starred variant chi_star drops the
-trailing inverse block and is convenient when exact transport of words is
-needed rather than transport up to a 0-shifted factor.
+applied to the sub-blueprints.
 """
 
-from .terms import Leaf, Node, Term, render_term, variables
+from .terms import Leaf, Term, render_term
 from .words import Word, inverse, pos_word, shift
 
 PHI = pos_word([""])  # the single-letter word acting at the root
-
-
-def _require_one_variable(t: Term) -> None:
-    """Raise ValueError unless every leaf of t is x1."""
-    if any(i != 1 for i in variables(t)):
-        raise ValueError(f"one-variable term required (all leaves x1): {render_term(t)}")
 
 
 def star(u: Word, v: Word) -> Word:
@@ -37,7 +29,7 @@ def chi(t: Term) -> Word:
             continue
         if type(cur) is Leaf:
             if cur.index != 1:
-                _require_one_variable(t)
+                raise ValueError(f"one-variable term required (all leaves x1): {render_term(t)}")
             memo[cur] = ()
         elif cur.left in memo and cur.right in memo:
             memo[cur] = star(memo[cur.left], memo[cur.right])
@@ -46,16 +38,3 @@ def chi(t: Term) -> Word:
             stack.append(cur.right)
             stack.append(cur.left)
     return memo[t]
-
-
-def chi_star(t: Term) -> Word:
-    """The positive-friendly blueprint: chi(t0) . 1 chi_star(t1), unrolled
-    down the right spine."""
-    _require_one_variable(t)
-    out = []
-    depth = 0
-    while type(t) is Node:
-        out.extend(shift("1" * depth, chi(t.left)))
-        t = t.right
-        depth += 1
-    return tuple(out)

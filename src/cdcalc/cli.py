@@ -27,7 +27,7 @@ from .action import (
     oracle_equiv,
     trace,
 )
-from .blueprint import chi, chi_star
+from .blueprint import chi
 from .decide import classify, compare, decide, dil
 from .errors import ParseError, SizeLimitExceeded, StepBudgetExceeded
 from .garside import delta, lcm, partial_iter
@@ -88,7 +88,6 @@ _ARGUMENTS = {
     **{name: {"help": f"word {name}"} for name in ("U", "U2", "V", "W", "W2")},
     "I": {"type": int, "help": "spine index"},
     "-n": {"type": int, "default": 1, "help": "iteration count (default 1)"},
-    "--star": {"action": "store_true", "help": "the starred blueprint instead"},
     "--depth": {"type": int, "required": True, "help": "expansion search depth"},
     "--steps": {"type": int, "required": True, "help": "maximum rewrite steps"},
 }
@@ -113,8 +112,8 @@ COMMANDS = {
               lambda a: _out(rw(delta(pt(a.T), max_size=a.max_size)))),
     "partial": ("T -n", "the expansion (T)delta(T), iterated with -n",
                 lambda a: _out(rt(partial_iter(pt(a.T), a.n, max_size=a.max_size)))),
-    "chi": ("T --star", "blueprint word of a one-variable term",
-            lambda a: _out(rw((chi_star if a.star else chi)(pt(a.T))))),
+    "chi": ("T", "blueprint word of a one-variable term",
+            lambda a: _out(rw(chi(pt(a.T))))),
     "dil": ("I U", "dilation of a left-spine index along a positive word",
             lambda a: _out(dil(a.I, pw(a.U)))),
     "classify": ("W", "P_minus / P_zero / P_plus class of a word",

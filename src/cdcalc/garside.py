@@ -17,9 +17,9 @@ from typing import Optional
 
 from .action import DEFAULT_MAX_SIZE, apply_word
 from .errors import SizeLimitExceeded
-from .redress import complement, redress
+from .redress import complement
 from .terms import Node, Term, render_term
-from .words import Letter, Word, inverse, positive_addresses, render_word
+from .words import Letter, Word, positive_addresses, render_word
 
 
 def delta(t: Term, max_size: Optional[int] = None) -> Word:
@@ -155,7 +155,4 @@ def delta_transport(t: Term, u: Word) -> Word:
 def lcm(u: Word, v: Word, budget: Optional[int] = None) -> Word:
     """The right lcm u.(u\\v), from one reversal of u^-1.v, which `budget`
     bounds.  It equals v.(v\\u) by the reversal grid; the tests check that."""
-    positive_addresses(u)
-    positive_addresses(v)
-    u_v, _ = redress(inverse(u) + v, budget=budget)
-    return u + u_v
+    return u + complement(u, v, budget=budget)

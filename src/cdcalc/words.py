@@ -56,11 +56,11 @@ def render_word(w: Word) -> str:
 
 
 def parse_word(text: str) -> Word:
+    pos = len(text) - len(text.lstrip())  # error positions count from the input
     text = text.strip()
     if text == "eps":
         return ()
     letters = []
-    pos = 0
     for chunk in text.split("."):
         sign, body = (-1, chunk[1:]) if chunk.startswith("-") else (1, chunk)
         if body == "e":

@@ -9,7 +9,6 @@ from cdcalc import (
     Node,
     apply_word,
     chi,
-    chi_star,
     group_equiv,
     parse_word,
     pos_word,
@@ -37,19 +36,9 @@ def test_chi_examples():
 
 def test_one_variable_errors_name_the_whole_term():
     t = (x * x) * (x * Leaf(2))
-    for f in (chi, chi_star):
-        with pytest.raises(ValueError) as err:
-            f(t)
-        assert str(err.value) == (
-            "one-variable term required (all leaves x1): ((x1 x1) (x1 x2))")
-
-
-def test_chi_star_examples():
-    assert chi_star(x) == ()
-    assert chi_star(x * x) == ()
-    assert render_word(chi_star((x * x) * x)) == "e"
-    with pytest.raises(ValueError):
-        chi_star(Leaf(3))
+    with pytest.raises(ValueError) as err:
+        chi(t)
+    assert str(err.value) == "one-variable term required (all leaves x1): ((x1 x1) (x1 x2))"
 
 
 def test_star_examples():
@@ -98,12 +87,11 @@ def _applicable_positive_words(t, max_len, rng, tries):
 
 
 def test_blueprints_transport_along_rewrites():
-    # chi picks up the applied word shifted under 0; chi_star picks it up as is
+    # chi picks up the applied word shifted under 0
     rng = random.Random(3)
     for t in one_var_upto(5):
         for w, t2 in _applicable_positive_words(t, 2, rng, 3):
             assert group_equiv(chi(t2), chi(t) + shift("0", w))
-            assert group_equiv(chi_star(t2), chi_star(t) + w)
 
 
 def test_chi_transport_single_negative_letter():

@@ -35,7 +35,6 @@ CASES = [
     (["delta", "(x1 (x1 (x1 x1)))"], 0, "1.e.0", ["1.e.0"]),
     (["partial", "-n", "2", T3], 0, "(((x1 x1) x1) (x1 x1))", ["(((x1 x1) x1) (x1 x1))"]),
     (["chi", T3], 0, "1.e.-1", ["1.e.-1"]),
-    (["chi", "--star", T3], 0, "eps", ["eps"]),
     (["dil", "1", "e"], 0, 2, ["2"]),
     (["classify", "--", "-e.0"], 0, "P_minus", ["P_minus"]),
     (["compare", "(x1 x1)", "((x1 x1) x1)"], 0, "Less", ["Less"]),
@@ -74,6 +73,13 @@ def test_the_table_subcommand_is_gone(capsys):
         assert err.value.code == 2
         message = capsys.readouterr().err
         assert "invalid choice" in message and args[0] in message
+
+
+def test_the_star_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--json", "chi", "--star", T3])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --star" in capsys.readouterr().err
 
 
 def test_a_spine_index_must_be_an_int(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 
@@ -27,6 +28,7 @@ from cdcalc import (
     shift,
     subterm,
 )
+from cdcalc.cli import main
 from helpers import X, is_expansion, labeled_upto, one_var_upto, random_term, reference_delta
 
 x = X
@@ -237,6 +239,8 @@ def test_delta_transport():
     assert pos_equiv(pos_word([""]) + delta(t2), delta(t) + u2)
     with pytest.raises(ValueError):
         delta_transport(x, pos_word([""]))
+    with pytest.raises(ValueError, match="^expected a positive word, got -1$"):
+        delta_transport(t, parse_word("-1"))
 
 
 def _applicable_words(t, length):
@@ -315,7 +319,7 @@ def test_power_product_identity():
             assert pos_equiv(alpha_power("", q) + alpha_power("", r), rhs), (q, r)
 
 
-def test_lcm():
+def test_lcm(capsys):
     out = lcm(pos_word([""]), pos_word(["1"]))
     assert render_word(out) == "e.1.e"
     assert pos_equiv(out, parse_word("1.e.0"))
@@ -323,6 +327,12 @@ def test_lcm():
     assert lcm(u, u) == u
     assert lcm(u, ()) == u
     assert lcm((), u) == u
+    for args in ((parse_word("-1"), ()), ((), parse_word("-1"))):
+        with pytest.raises(ValueError, match="^expected a positive word, got -1$"):
+            lcm(*args)
+    assert main(["--json", "lcm", "0", "--", "-1"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "ok": False, "error": "expected a positive word, got -1"}
 
 
 def test_lcm_is_symmetric_sweep():

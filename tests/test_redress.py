@@ -286,14 +286,18 @@ def test_complement_examples():
     assert complement(pos_word(["11"]), pos_word(["1", ""])) == pos_word(["1", "10", "", "0"])
     for u in (pos_word(["", "1"]), pos_word(["0", "00", "1"])):
         assert complement(u, u) == ()
-    with pytest.raises(ValueError):
-        complement(parse_word("-1"), ())
+    for args in ((parse_word("-1"), ()), ((), parse_word("-1"))):
+        with pytest.raises(ValueError, match="^expected a positive word, got -1$"):
+            complement(*args)
 
 
 def test_pos_equiv_examples():
     assert pos_equiv(parse_word("1.e.0"), parse_word("e.1.e"))
     assert not pos_equiv(parse_word("e"), ())
     assert pos_equiv(parse_word("0.11"), parse_word("11.0"))
+    for args in ((parse_word("-1"), ()), ((), parse_word("-1"))):
+        with pytest.raises(ValueError, match="^expected a positive word, got -1$"):
+            pos_equiv(*args)
 
 
 def test_group_equiv_examples():

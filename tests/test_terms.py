@@ -45,6 +45,14 @@ def test_parse_errors(bad):
     assert err.value.position >= 0
 
 
+@pytest.mark.parametrize("text, position", [
+    ("(x1 y)", 4), ("  (x1 y)", 6), ("\t(x1 y)", 5), (" \t(x1 x0)", 6), ("  )", 2)])
+def test_parse_term_error_positions_count_from_the_input(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_term(text)
+    assert err.value.position == position
+
+
 @pytest.mark.parametrize("bad", [0, -1, True, False, 1.0, "1"])
 def test_leaf_index_is_a_positive_int(bad):
     # a bool would render as "xTrue", which parse_term rejects

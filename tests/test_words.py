@@ -30,6 +30,14 @@ def test_parse_word_errors(bad):
         parse_word(bad)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("e.x", 2), ("  e.x", 4), ("\te.x", 3), (" \t0.1.x1", 6), ("  -x", 2), ("\t0e ", 1)])
+def test_parse_word_error_positions_count_from_the_input(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_word(text)
+    assert err.value.position == position
+
+
 @given(words_st)
 def test_word_roundtrip(w):
     assert parse_word(render_word(w)) == w
