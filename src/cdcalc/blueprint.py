@@ -20,7 +20,10 @@ def star(u: Word, v: Word) -> Word:
 
 def chi(t: Term) -> Word:
     """The blueprint of a one-variable term; the unique homomorphism into
-    words under star that sends x to the empty word."""
+    words under star that sends x to the empty word.  The one-variable
+    precondition is checked in O(1), from `max_var`."""
+    if t.max_var != 1:
+        raise ValueError(f"one-variable term required (all leaves x1): {render_term(t)}")
     memo = {}
     stack = [t]
     while stack:
@@ -28,8 +31,6 @@ def chi(t: Term) -> Word:
         if cur in memo:
             continue
         if type(cur) is Leaf:
-            if cur.index != 1:
-                raise ValueError(f"one-variable term required (all leaves x1): {render_term(t)}")
             memo[cur] = ()
         elif cur.left in memo and cur.right in memo:
             memo[cur] = star(memo[cur.left], memo[cur.right])

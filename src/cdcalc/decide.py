@@ -9,7 +9,8 @@ elements into P_minus / P_zero / P_plus; the blueprint difference of two
 one-variable terms lies in P_zero exactly when they are equivalent.
 
 `decide` answers every term-equivalence question along one pipeline: a
-right-spine reject in O(n), then one sweep up the right spine of the
+right-spine reject, in O(h) on one-variable pairs of right height h and in
+O(n) on others, then one sweep up the right spine of the
 one-variable projections, from the deepest level that differs to the top,
 which refutes at the first level whose blueprint difference is not in
 P_zero, and one literal comparison of the expansions the top level's
@@ -74,7 +75,9 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     and the deeper ones are untouched.  A letter at 1^k rewrites level k
     itself and keeps its right subterm s1*s2, so the right height and the
     deeper levels are untouched too.  A mismatch therefore means "not
-    equivalent", and costs O(n) instead of a redressing.
+    equivalent".  The check costs O(h) for right height h on one-variable
+    pairs, whose profiles follow from the right heights and `max_var`, and
+    O(n) otherwise, instead of a redressing.
 
     Otherwise project both terms to one variable and sweep their iterated
     right subterms q_k, q2_k (level 0 is the term, level h its rightmost

@@ -7,6 +7,12 @@ from the root ("" is the root, "0" the left subterm, "1" the right one).
 All values are immutable and all functions are pure.  Traversals are
 iterative, and derived values such as skeletons are flat strings, so very
 deep terms (left combs of ~10^6 leaves) never recurse, in Python or in C.
+
+Every term carries two values set at construction: `size`, its number of
+leaves, and `max_var`, its largest variable index, so `t.max_var == 1`
+tells a one-variable term in O(1).  `parse_term` builds each distinct
+subterm of its input once: equal subterms of one parse are one object,
+which identity checks and memos keyed on terms then hit at once.
 """
 
 from .errors import ParseError
@@ -50,25 +56,31 @@ class Term:
 
 
 class Leaf(Term):
-    """A variable occurrence; `index` >= 1 names the variable x_index."""
+    """A variable occurrence; `index` >= 1 names the variable x_index, and
+    is also the leaf's `max_var`."""
 
-    __slots__ = ("index", "size", "_hash")
+    __slots__ = ("index", "size", "max_var", "_hash")
 
     def __init__(self, index):
         if not isinstance(index, int) or isinstance(index, bool) or index < 1:
             raise ValueError(f"variable index must be a positive integer, got {index!r}")
-        self.index = index
+        self.index = self.max_var = index
         self.size = 1
         self._hash = hash((False, index))
 
 
 class Node(Term):
-    __slots__ = ("left", "right", "size", "_hash")
+    """The product left*right; `size` counts its leaves and `max_var` is
+    the larger of its children's."""
+
+    __slots__ = ("left", "right", "size", "max_var", "_hash")
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
         self.size = left.size + right.size
+        a, b = left.max_var, right.max_var
+        self.max_var = a if a > b else b
         self._hash = hash((True, left._hash, right._hash))
 
 
@@ -172,12 +184,17 @@ def spine_profile(t: Term) -> tuple:
 def same_spine(t: Term, t2: Term) -> bool:
     """Whether t and t2 have one spine profile.  Walks both right spines
     once in lockstep to compare the right heights and the rightmost
-    variables, and builds the profiles only when those agree."""
+    variables.  When those agree and either term has one variable, the
+    answer is whether both do: a one-variable profile is (1,) at every
+    level, and any other has two variables at level 0.  Only then are the
+    profiles built."""
     a, b = t, t2
     while type(a) is Node and type(b) is Node:
         a, b = a.right, b.right
     if type(a) is not type(b) or a.index != b.index:
         return False
+    if t.max_var == 1 or t2.max_var == 1:
+        return t.max_var == t2.max_var
     return spine_profile(t) == spine_profile(t2)
 
 
@@ -196,13 +213,18 @@ def skeleton(t: Term) -> str:
 
 
 def canonicalize(t: Term) -> Term:
-    """Rename variables so the first occurrences read x1, x2, ... left to right."""
-    renaming = {old: Leaf(new) for new, old in enumerate(first_occurrences(t), start=1)}
+    """Rename variables so the first occurrences read x1, x2, ... left to right,
+    keeping (not copying) every subterm the renaming leaves alone."""
+    renaming = {old: Leaf(new) for new, old in enumerate(first_occurrences(t), start=1)
+                if old != new}
     return substitute(t, renaming)
 
 
 def project(t: Term) -> Term:
-    """Replace every variable with x1, keeping (not copying) subterms of x1 alone."""
+    """Replace every variable with x1, keeping (not copying) subterms of x1 alone;
+    a one-variable term comes back as itself without a walk."""
+    if t.max_var == 1:
+        return t
     return substitute(t, {i: X for i in variables(t) if i != 1})
 
 
@@ -320,7 +342,14 @@ def render_term(t: Term) -> str:
 
 def parse_term(text: str) -> Term:
     """Parse the s-expression term grammar: term := var | '(' term term ')',
-    var := 'x' [1-9][0-9]*, with arbitrary whitespace between tokens."""
+    var := 'x' [1-9][0-9]*, with arbitrary whitespace between tokens.
+
+    Equal subterms of the input come back as one object: one table per call
+    holds one Leaf per variable and one Node per pair of (already shared)
+    children, keyed by their ids, which stay valid while the table keeps
+    every keyed object alive."""
+    leaves = {}
+    nodes = {}
     frames = []
     items = []
     i = 0
@@ -338,18 +367,24 @@ def parse_term(text: str) -> Term:
                 raise ParseError("unmatched ')'", i)
             if len(items) != 2:
                 raise ParseError(f"'(...)' needs exactly 2 subterms, found {len(items)}", i)
-            node = Node(items[0], items[1])
+            key = (id(items[0]), id(items[1]))
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = Node(items[0], items[1])
             items = frames.pop()
             items.append(node)
             i += 1
         elif c == "x":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             digits = text[i + 1 : j]
             if not digits or digits[0] == "0":
                 raise ParseError("variable must be 'x' followed by digits without leading zero", i)
-            items.append(Leaf(int(digits)))
+            leaf = leaves.get(digits)
+            if leaf is None:
+                leaf = leaves[digits] = Leaf(int(digits))
+            items.append(leaf)
             i = j
         else:
             raise ParseError(f"unexpected character {c!r}", i)

@@ -26,6 +26,7 @@ from cdcalc import (
     parse_term,
     parse_word,
     partial,
+    project,
     redress,
     render_term,
     right_comb,
@@ -33,6 +34,8 @@ from cdcalc import (
     shift,
     spine_profile,
     star,
+    substitute,
+    subterm,
     variables,
 )
 from cdcalc.cli import main
@@ -168,6 +171,34 @@ def test_spine_profile_matches_its_definition():
     for t in terms[:60]:
         for t2 in terms:
             assert same_spine(t, t2) == (_naive_spine_profile(t) == _naive_spine_profile(t2))
+
+
+def _with_right_height(rng, h, nvars):
+    # a term of right height h over x1..x_nvars, ending in x1 half the time
+    t = Leaf(1 if rng.random() < 0.5 else rng.randint(1, nvars))
+    for _ in range(h):
+        t = Node(random_term(rng, rng.randint(1, 4), nvars), t)
+    return t
+
+
+def test_one_variable_shortcuts_agree_with_their_definitions():
+    # same_spine answers one-variable pairs from max_var and project returns
+    # a one-variable term as it is; check both against what they replace
+    rng = random.Random(20)
+    mixed = 0
+    for _ in range(3000):
+        h = rng.randint(0, 5)
+        t = _with_right_height(rng, h, rng.randint(1, 3))
+        t2 = _with_right_height(rng, h, rng.randint(1, 3))
+        assert same_spine(t, t2) == (_naive_spine_profile(t) == _naive_spine_profile(t2))
+        ends = {subterm(s, "1" * h).index for s in (t, t2)}
+        if (t.max_var == 1) != (t2.max_var == 1) and ends == {1}:
+            mixed += 1
+        for s in (t, t2):
+            p = project(s)
+            assert p == substitute(s, {i: X for i in variables(s) if i != 1})
+            assert (p is s) == (s.max_var == 1)
+    assert mixed > 100
 
 
 def test_spine_profile_on_deep_terms_does_not_recurse():

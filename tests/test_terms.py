@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,8 +7,10 @@ from cdcalc import (
     Leaf,
     Node,
     ParseError,
+    apply_word,
     canonicalize,
     parse_term,
+    partial,
     project,
     render_term,
     replace,
@@ -15,17 +19,22 @@ from cdcalc import (
     skeleton,
     substitute,
     subterm,
+    variables,
 )
+from cdcalc.cli import main
+from cdcalc.terms import resolve, unify_into
 from helpers import (
     injective_upto,
     is_canonical,
     is_injective,
     labeled_terms,
+    labeled_upto,
     left_iter,
     match,
     one_var_upto,
     terms_st,
     unify,
+    words_st,
 )
 
 x1, x2, x3, x4 = Leaf(1), Leaf(2), Leaf(3), Leaf(4)
@@ -51,6 +60,71 @@ def test_parse_term_error_positions_count_from_the_input(text, position):
     with pytest.raises(ParseError) as err:
         parse_term(text)
     assert err.value.position == position
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("x\u00b2", "variable must be 'x' followed by digits", 0),   # superscript two
+    ("x1\u00b2", "unexpected character", 2),
+    ("x\u0661", "variable must be 'x' followed by digits", 0),   # Arabic-Indic one
+    ("(x1 x\u2082)", "variable must be 'x' followed by digits", 4),  # subscript two
+])
+def test_parse_term_reads_only_ascii_digits(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_term(text)
+    assert str(err.value).startswith(message)
+    assert err.value.position == position
+
+
+def test_cli_reports_a_non_ascii_digit_as_a_parse_error(capsys):
+    assert main(["--json", "decide", "x\u00b2", "x1"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == "variable must be 'x' followed by digits without leading zero (at position 0)"
+
+
+def test_parse_shares_equal_subterms():
+    t = parse_term("((x1 x1) (x1 x1))")
+    assert t.left is t.right
+    assert t.left.left is t.left.right
+    t = parse_term("((x1 (x2 x1)) ((x2 x1) (x3 x1)))")
+    assert t.left.right is t.right.left
+    assert t.left.left is t.left.right.right is t.right.right.right
+
+
+def _subterms(t):
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        if type(cur) is Node:
+            stack += (cur.left, cur.right)
+
+
+@given(terms_st)
+def test_a_parse_holds_each_distinct_subterm_once(t):
+    parsed = parse_term(render_term(t))
+    subterms = list(_subterms(parsed))
+    assert len({id(s) for s in subterms}) == len(set(subterms))
+
+
+def _assert_max_var(t):
+    for s in _subterms(t):
+        assert s.max_var == max(variables(s))
+
+
+@given(terms_st, terms_st, st.text(alphabet="01", max_size=3), words_st)
+def test_max_var_is_the_largest_variable(t, t2, address, w):
+    outputs = [t, parse_term(render_term(t)), project(t), canonicalize(t),
+               substitute(t, {1: t2, 2: Leaf(7)}), partial(t)]
+    if subterm(t, address) is not None:
+        outputs.append(replace(t, address, t2))
+    subst = {}
+    if unify_into(t, t2, subst):
+        outputs.append(resolve(t, subst))
+    image = apply_word(Node(t, right_comb(8)), w)
+    if image is not None:
+        outputs.append(image)
+    for out in outputs:
+        _assert_max_var(out)
 
 
 @pytest.mark.parametrize("bad", [0, -1, True, False, 1.0, "1"])
@@ -170,6 +244,18 @@ def test_skeletons_sort_as_nested_shapes():
     assert sorted(shapes, key=skeleton) == sorted(shapes, key=_nested_shape)
 
 
+def test_canonicalize_keeps_what_the_renaming_leaves_alone():
+    t = parse_term("(x1 (x1 x1))")
+    assert canonicalize(t) is t
+    for t in one_var_upto(5) + labeled_upto(4, 3):
+        if is_canonical(t):
+            assert canonicalize(t) is t
+    t = parse_term("((x1 (x1 x1)) (x3 x2))")
+    c = canonicalize(t)
+    assert c == parse_term("((x1 (x1 x1)) (x2 x3))")
+    assert c.left is t.left
+
+
 def test_project_keeps_subterms_of_x1():
     for t in one_var_upto(6):
         assert project(t) is t
@@ -212,7 +298,6 @@ def _brute_unifiers(t, t2):
     # on the sizes used below
     small = labeled_terms(1, 2) + labeled_terms(2, 2)
     from itertools import product
-    from cdcalc import variables
 
     vs = sorted(set(variables(t)) | set(variables(t2)))
     found = []
