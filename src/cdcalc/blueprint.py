@@ -4,10 +4,14 @@ The blueprint of a one-variable term t records how rewriting turns a tall
 right comb x^[p+1] into t*x^[p]: chi(x) is empty and chi(t0*t1) is
 chi(t0) . 1chi(t1) . phi . 1chi(t1)^-1, i.e. the star operation below
 applied to the sub-blueprints.
+
+Blueprints are emitted, not composed (see `_emit`): no subterm's word is
+copied into its parent's, and `decide` and `compare` emit their blueprint
+differences chi(t)^-1 . chi(t2) into one list the same way (`_difference`).
 """
 
-from .terms import Leaf, Term, render_term
-from .words import Word, inverse, pos_word, shift
+from .terms import Node, Term, render_term
+from .words import Letter, Word, inverse, pos_word, shift
 
 PHI = pos_word([""])  # the single-letter word acting at the root
 
@@ -18,24 +22,56 @@ def star(u: Word, v: Word) -> Word:
     return u + lifted + PHI + inverse(lifted)
 
 
-def chi(t: Term) -> Word:
-    """The blueprint of a one-variable term; the unique homomorphism into
-    words under star that sends x to the empty word.  The one-variable
-    precondition is checked in O(1), from `max_var`."""
+def _emit(t: Term, sign: int, out: list) -> None:
+    """Append chi(t) to `out` when sign is 1, chi(t)^-1 when it is -1.
+
+    A walk entry (s, prefix, sign) stands for chi(s)^sign shifted under
+    `prefix`; a Letter on the stack is the phi of an entry already split.
+    chi(s0*s1) is chi(s0).1chi(s1).phi.1chi(s1)^-1 and its inverse is
+    1chi(s1).phi^-1.1chi(s1)^-1.chi(s0)^-1: one middle block, with s0
+    before it or after it, pushed in reverse.  Each letter is built once,
+    at its final address; leaves emit nothing and are never pushed."""
     if t.max_var != 1:
         raise ValueError(f"one-variable term required (all leaves x1): {render_term(t)}")
-    memo = {}
-    stack = [t]
+    if type(t) is not Node:
+        return
+    new = tuple.__new__  # skips Letter.__new__, a Python-level call
+    append = out.append
+    stack = [(t, "", sign)]
+    pop, push = stack.pop, stack.append
     while stack:
-        cur = stack.pop()
-        if cur in memo:
+        entry = pop()
+        if type(entry) is Letter:
+            append(entry)
             continue
-        if type(cur) is Leaf:
-            memo[cur] = ()
-        elif cur.left in memo and cur.right in memo:
-            memo[cur] = star(memo[cur.left], memo[cur.right])
+        cur, prefix, s = entry
+        left, right = cur.left, cur.right
+        if s < 0 and type(left) is Node:
+            push((left, prefix, -1))
+        if type(right) is Node:
+            lifted = prefix + "1"
+            push((right, lifted, -1))
+            push(new(Letter, (prefix, s)))
+            push((right, lifted, 1))
         else:
-            stack.append(cur)
-            stack.append(cur.right)
-            stack.append(cur.left)
-    return memo[t]
+            push(new(Letter, (prefix, s)))
+        if s > 0 and type(left) is Node:
+            push((left, prefix, 1))
+
+
+def chi(t: Term) -> Word:
+    """The blueprint of a one-variable term; the unique homomorphism into
+    words under star that sends x to the empty word, emitted letter by
+    letter (see `_emit`) in time and memory linear in its length.  The
+    one-variable precondition is checked in O(1), from `max_var`."""
+    out = []
+    _emit(t, 1, out)
+    return tuple(out)
+
+
+def _difference(t: Term, t2: Term) -> list:
+    """The blueprint difference chi(t)^-1 . chi(t2), emitted into one list."""
+    out = []
+    _emit(t, -1, out)
+    _emit(t2, 1, out)
+    return out

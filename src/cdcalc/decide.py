@@ -21,11 +21,11 @@ import enum
 from typing import Optional
 
 from .action import apply_word
-from .blueprint import chi, star
+from .blueprint import _difference
 from .errors import StepBudgetExceeded
 from .redress import Fraction, redress
 from .terms import Node, Term, project, right_comb, same_spine
-from .words import Word, inverse, positive_addresses
+from .words import Word, positive_addresses
 
 
 def dil(i: int, u: Word) -> int:
@@ -92,9 +92,10 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     redress first and cheapest; the sweep stops at the first one that
     refutes.  A level with q_k == q2_k needs no redressing, and then
     neither does any level below it, so the sweep starts at the deepest
-    level that differs.  Each level's blueprint is built from the one
-    below, chi(q_k) = star(chi(q_k.left), chi(q_{k+1})), so no subterm's
-    blueprint is built twice.  `budget` bounds each level's redressing; a
+    level that differs.  Each level's difference is emitted letter by
+    letter into one list, chi(q_k)^-1 and then chi(q2_k), each letter built
+    once at its final address (see `blueprint._difference`), so no word is
+    copied on its way to `redress`.  `budget` bounds each level's redressing; a
     budget error names the level and how many redressed levels below it
     were found in P_zero.
 
@@ -117,13 +118,9 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     while k and levels[k - 1].left == levels2[k - 1].left:
         k -= 1
     fraction = Fraction((), ())
-    if k:
-        c = c2 = chi(levels[k])
     for j in range(k - 1, -1, -1):
-        c = star(chi(levels[j].left), c)
-        c2 = star(chi(levels2[j].left), c2)
         try:
-            fraction = redress(inverse(c) + c2, budget=budget)
+            fraction = redress(_difference(levels[j], levels2[j]), budget=budget)
         except StepBudgetExceeded as exc:
             raise StepBudgetExceeded(
                 f"{exc}; at right-spine level {j} of {h}, after {k - 1 - j} levels "
@@ -145,8 +142,10 @@ class Comparison(enum.Enum):
 
 def compare(t: Term, t2: Term, budget: Optional[int] = None) -> Comparison:
     """Trichotomy of one-variable terms under iterated left division:
-    LESS means t is a proper iterated left divisor of t2."""
-    c = classify(inverse(chi(t)) + chi(t2), budget=budget)
+    LESS means t is a proper iterated left divisor of t2.  The blueprint
+    difference chi(t)^-1.chi(t2) is emitted letter by letter into one list
+    and classified."""
+    c = classify(_difference(t, t2), budget=budget)
     if c is Classification.P_ZERO:
         return Comparison.EQUAL
     return Comparison.LESS if c is Classification.P_PLUS else Comparison.GREATER

@@ -15,6 +15,8 @@ subterm of its input once: equal subterms of one parse are one object,
 which identity checks and memos keyed on terms then hit at once.
 """
 
+from string import whitespace
+
 from .errors import ParseError
 
 
@@ -342,7 +344,8 @@ def render_term(t: Term) -> str:
 
 def parse_term(text: str) -> Term:
     """Parse the s-expression term grammar: term := var | '(' term term ')',
-    var := 'x' [1-9][0-9]*, with arbitrary whitespace between tokens.
+    var := 'x' [1-9][0-9]*, with any run of ASCII `string.whitespace`
+    between tokens; any other character, Unicode spaces included, is unexpected.
 
     Equal subterms of the input come back as one object: one table per call
     holds one Leaf per variable and one Node per pair of (already shared)
@@ -356,7 +359,7 @@ def parse_term(text: str) -> Term:
     n = len(text)
     while i < n:
         c = text[i]
-        if c.isspace():
+        if c in whitespace:
             i += 1
         elif c == "(":
             frames.append(items)

@@ -7,9 +7,12 @@ performed implicitly.
 
 Text format: `eps` for the empty word, otherwise letters joined by dots;
 a letter is an optional `-` followed by `e` (the root) or a 01-string,
-e.g. `1.e.0` and `-1` for the inverse of the letter at address 1.
+e.g. `1.e.0` and `-1` for the inverse of the letter at address 1.  ASCII
+whitespace around the word is ignored; no other character is, Unicode
+spaces included.
 """
 
+from string import whitespace
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -25,28 +28,28 @@ Word = tuple  # tuple of Letter
 
 def pos_word(addresses) -> Word:
     """The positive word made of the given addresses, in order."""
-    return tuple(Letter(a, 1) for a in addresses)
+    return tuple([Letter(a, 1) for a in addresses])
 
 
 def is_positive(w: Word) -> bool:
-    return all(l.sign > 0 for l in w)
+    return all([l.sign > 0 for l in w])
 
 
 def positive_addresses(w: Word):
     """The address sequence of a positive word; rejects negative letters."""
     if not is_positive(w):
         raise ValueError(f"expected a positive word, got {render_word(w)}")
-    return tuple(l.addr for l in w)
+    return tuple([l.addr for l in w])
 
 
 def inverse(w: Word) -> Word:
     """The formal inverse: letters reversed, every sign flipped."""
-    return tuple(Letter(l.addr, -l.sign) for l in reversed(w))
+    return tuple([Letter(l.addr, -l.sign) for l in reversed(w)])
 
 
 def shift(gamma: str, w: Word) -> Word:
     """Prefix `gamma` to every letter's address, keeping signs and length."""
-    return tuple(Letter(gamma + l.addr, l.sign) for l in w)
+    return tuple([Letter(gamma + l.addr, l.sign) for l in w])
 
 
 def render_word(w: Word) -> str:
@@ -56,8 +59,8 @@ def render_word(w: Word) -> str:
 
 
 def parse_word(text: str) -> Word:
-    pos = len(text) - len(text.lstrip())  # error positions count from the input
-    text = text.strip()
+    pos = len(text) - len(text.lstrip(whitespace))  # error positions count from the input
+    text = text.strip(whitespace)
     if text == "eps":
         return ()
     letters = []

@@ -16,6 +16,7 @@ from cdcalc import (
     first_occurrences,
     inverse,
     pos_word,
+    star,
     variables,
 )
 from cdcalc.redress import DEFAULT_BUDGET
@@ -185,6 +186,26 @@ def reference_redress(w, budget=None):
             done.append(b)
     num = tuple(letter for letter in done if letter.sign > 0)
     return Fraction(num, inverse(done[len(num):])), steps
+
+
+def reference_chi(t):
+    """chi(t) composed bottom up with `star` from a memo of every subterm's
+    word, copying each into its parent's.  `chi` must give the same words."""
+    memo = {}
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        if cur in memo:
+            continue
+        if type(cur) is Leaf:
+            memo[cur] = ()
+        elif cur.left in memo and cur.right in memo:
+            memo[cur] = star(memo[cur.left], memo[cur.right])
+        else:
+            stack.append(cur)
+            stack.append(cur.right)
+            stack.append(cur.left)
+    return memo[t]
 
 
 def reference_delta(t, max_size=None):

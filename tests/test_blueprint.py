@@ -10,6 +10,7 @@ from cdcalc import (
     apply_word,
     chi,
     group_equiv,
+    inverse,
     parse_word,
     pos_word,
     render_word,
@@ -18,7 +19,8 @@ from cdcalc import (
     star,
     trace,
 )
-from helpers import X, cd_relations, one_var_upto, one_var_term_st
+from cdcalc.blueprint import _emit
+from helpers import X, cd_relations, one_var_term_st, one_var_upto, random_term, reference_chi
 
 x = X
 
@@ -39,6 +41,21 @@ def test_one_variable_errors_name_the_whole_term():
     with pytest.raises(ValueError) as err:
         chi(t)
     assert str(err.value) == "one-variable term required (all leaves x1): ((x1 x1) (x1 x2))"
+
+
+def _one_var_cases():
+    rng = random.Random(41)
+    return one_var_upto(7) + [random_term(rng, rng.randint(1, 40), 1) for _ in range(300)]
+
+
+def test_chi_matches_the_star_reference():
+    # letter for letter, in both directions of the emission
+    for t in _one_var_cases():
+        expected = reference_chi(t)
+        assert chi(t) == expected
+        out = []
+        _emit(t, -1, out)
+        assert tuple(out) == inverse(expected)
 
 
 def test_star_examples():

@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import resource
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,7 @@ from helpers import (
     left_iter,
     one_var_upto,
     random_term,
+    reference_chi,
 )
 
 x = X
@@ -298,6 +303,39 @@ def test_a_budget_error_names_the_spine_level():
     assert decide(t, t2, budget=55) is True
 
 
+def test_each_level_redresses_its_blueprint_difference(monkeypatch):
+    # from the deepest level that differs up, level k hands redress
+    # chi(q_k)^-1.chi(q2_k) as `reference_chi` builds it, until a level
+    # refutes or the top passes
+    calls = []
+
+    def recording(w, budget=None):
+        calls.append(tuple(w))
+        return redress(w, budget=budget)
+
+    monkeypatch.setattr(sys.modules["cdcalc.decide"], "redress", recording)
+    rng = random.Random(43)
+    pairs = [(t, t2) for t in one_var_upto(6) for t2 in one_var_upto(6)]
+    pairs += [(random_term(rng, n, 1), random_term(rng, n, 1))
+              for n in (8, 12, 16) for _ in range(40)]
+    seen = 0
+    for t, t2 in pairs:
+        if not same_spine(t, t2):
+            continue
+        levels, levels2 = [t], [t2]
+        while type(levels[-1]) is Node:
+            levels.append(levels[-1].right)
+            levels2.append(levels2[-1].right)
+        expected = [inverse(reference_chi(q)) + reference_chi(q2)
+                    for q, q2 in zip(levels, levels2) if q != q2][::-1]
+        calls.clear()
+        verdict = decide(t, t2)
+        assert calls == expected[:len(calls)]
+        assert len(calls) == len(expected) or not verdict
+        seen += len(calls)
+    assert seen > 1000
+
+
 def test_decide_agrees_with_the_oracle_on_random_same_spine_pairs():
     # a third of the pairs are signed walks, the rest random terms of one
     # size and spine profile
@@ -337,6 +375,49 @@ def test_a_lower_level_refutes_past_the_top_level_budget(capsys):
     assert decide(t, t2, budget=10**4) is False
     assert main(["--json", "--budget", "10000", "decide", *R16_113]) == 1
     assert json.loads(capsys.readouterr().out) == {"ok": True, "result": False}
+
+
+# Pair r24-86 of the seed-61 decide-random benchmark corpus: levels 3 to 1
+# pass and level 0 needs more than 10^4 redressing steps.
+R24_86 = (
+    "((((x1 x1) (x1 x1)) x1) (((((x1 x1) x1) (x1 (((x1 x1) x1) ((x1 x1) x1)))) "
+    "(((x1 x1) x1) x1)) (x1 (x1 (x1 (x1 x1))))))",
+    "(x1 (((x1 (((x1 (x1 x1)) ((x1 x1) (x1 x1))) (((x1 x1) x1) (x1 x1)))) x1) "
+    "((x1 x1) ((((x1 x1) x1) x1) (x1 (x1 x1))))))",
+)
+
+
+def test_budget_errors_report_the_same_progress():
+    t, t2 = (parse_term(s) for s in R24_86)
+    stopped = ("redressing stopped at its budget after 10000 steps; the word has 574 letters, "
+               "the input had 335")
+    with pytest.raises(StepBudgetExceeded) as err:
+        decide(t, t2, budget=10**4)
+    assert str(err.value) == stopped + "; at right-spine level 0 of 6, after 3 levels found P_zero"
+    with pytest.raises(StepBudgetExceeded) as err:
+        compare(t, t2, budget=10**4)
+    assert str(err.value) == stopped
+
+
+def test_a_deep_left_comb_decides_in_linear_memory():
+    # a 100,000-leaf left comb: its blueprint is 99,999 root letters, and
+    # every prefix of it stays unbuilt, so 512 MiB of address space suffice
+    code = (
+        "from cdcalc import Leaf, Node, chi, decide\n"
+        "x = Leaf(1)\n"
+        "t = x\n"
+        "for _ in range(99_999):\n"
+        "    t = Node(t, x)\n"
+        "assert decide(t, Node(t, x)) is False\n"
+        "assert len(chi(t)) == 99_999\n"
+    )
+    ceiling = 512 * 2**20
+    src = str(Path(sys.modules["cdcalc"].__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (ceiling, ceiling)),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_compare_examples():

@@ -81,6 +81,26 @@ def test_cli_reports_a_non_ascii_digit_as_a_parse_error(capsys):
     assert error == "variable must be 'x' followed by digits without leading zero (at position 0)"
 
 
+# ideographic space, no-break space, next line: Unicode whitespace outside
+# the grammar's ASCII set
+UNICODE_SPACES = ["\u3000", "\u00a0", "\u0085"]
+
+
+@pytest.mark.parametrize("space", UNICODE_SPACES, ids=["ideographic", "no-break", "next-line"])
+def test_parse_term_reads_only_ascii_whitespace(space):
+    for text, position in (("(x1" + space + "x2)", 3), (space + "x1", 0), ("x1" + space, 2)):
+        with pytest.raises(ParseError) as err:
+            parse_term(text)
+        assert str(err.value) == f"unexpected character {space!r} (at position {position})"
+    assert parse_term("(x1\tx2)") == parse_term("(x1\nx2)") == parse_term("\r\n(x1\x0b\x0cx2)\n")
+
+
+def test_cli_reports_a_unicode_space_as_a_parse_error(capsys):
+    assert main(["--json", "decide", "(x1\u3000x1)", "(x1 x1)"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == "unexpected character '\\u3000' (at position 3)"
+
+
 def test_parse_shares_equal_subterms():
     t = parse_term("((x1 x1) (x1 x1))")
     assert t.left is t.right

@@ -38,6 +38,17 @@ def test_parse_word_error_positions_count_from_the_input(text, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize("space", ["\u3000", "\u00a0", "\u0085"],
+                         ids=["ideographic", "no-break", "next-line"])
+def test_parse_word_strips_only_ascii_whitespace(space):
+    for text, letter, position in ((space + "e", space + "e", 0), ("e.1" + space, "1" + space, 2),
+                                   (" 0." + space + "1", space + "1", 3)):
+        with pytest.raises(ParseError) as err:
+            parse_word(text)
+        assert str(err.value) == f"bad letter {letter!r} (at position {position})"
+    assert parse_word("\t1.e\n") == parse_word(" \r\n1.e\x0b\x0c") == pos_word(["1", ""])
+
+
 @given(words_st)
 def test_word_roundtrip(w):
     assert parse_word(render_word(w)) == w
