@@ -21,7 +21,6 @@ from .terms import (
     Node,
     Term,
     canonicalize,
-    first_occurrences,
     project,
     replace,
     resolve,
@@ -31,8 +30,6 @@ from .terms import (
     unify_into,
 )
 from .words import Letter, Word
-
-DEFAULT_MAX_SIZE = 10**6
 
 
 def apply_letter(t: Term, letter: Letter) -> Optional[Term]:
@@ -51,9 +48,9 @@ def apply_letter(t: Term, letter: Letter) -> Optional[Term]:
     return replace(t, letter.addr, Node(l.left, r))
 
 
-def apply_word(t: Term, w: Word, max_size: Optional[int] = None) -> Optional[Term]:
+def apply_word(t: Term, w: Word) -> Optional[Term]:
     """Left-to-right fold of apply_letter; None as soon as one step is undefined."""
-    return apply_word_partial(t, w, max_size)[0]
+    return apply_word_partial(t, w)[0]
 
 
 def apply_word_partial(t: Term, w: Word, max_size: Optional[int] = None):
@@ -101,7 +98,7 @@ def iter_expansions(t: Term, steps: int):
                 if e not in seen:
                     seen.add(e)
                     nxt.append(e)
-        nxt.sort(key=lambda term: (term.size, skeleton(term), tuple(first_occurrences(term))))
+        nxt.sort(key=lambda term: (term.size, skeleton(term)))
         for e in nxt:
             yield k, e
         level = nxt

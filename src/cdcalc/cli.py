@@ -19,18 +19,11 @@ import argparse
 import json
 import sys
 
-from .action import (
-    DEFAULT_MAX_SIZE,
-    Verdict,
-    apply_word_partial,
-    iter_expansions,
-    oracle_equiv,
-    trace,
-)
+from .action import Verdict, apply_word_partial, iter_expansions, oracle_equiv, trace
 from .blueprint import chi
 from .decide import classify, compare, decide, dil
-from .errors import ParseError, SizeLimitExceeded, StepBudgetExceeded
-from .garside import delta, lcm, partial_iter
+from .errors import SizeLimitExceeded, StepBudgetExceeded
+from .garside import DEFAULT_MAX_SIZE, delta, lcm, partial_iter
 from .redress import DEFAULT_BUDGET, complement, group_equiv, pos_equiv, redress
 from .terms import parse_term as pt, render_term as rt
 from .words import parse_word as pw, render_word as rw
@@ -148,8 +141,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, result, lines = COMMANDS[args.command][2](args)
-    except (ParseError, ValueError, StepBudgetExceeded, SizeLimitExceeded,
-            RecursionError, MemoryError) as exc:
+    except (ValueError, StepBudgetExceeded, SizeLimitExceeded, RecursionError,
+            MemoryError) as exc:  # a ParseError is a ValueError
         message = str(exc) or type(exc).__name__
         if args.json:
             print(json.dumps({"ok": False, "error": message}))

@@ -5,9 +5,9 @@ multiplied by a * b = a . 1b . phi . 1b^-1, satisfy x(yz) = (xy)(yz), and
 the subsystem generated by any single coset is free.  A `Coset` is the
 named pair (rep, origin) of a representative word, normally a blueprint,
 and then the originating term: equality of blueprint cosets reduces to
-equivalence of the terms.  For cosets of unknown origin only a necessary
-criterion is available (the representative difference must classify as
-P_zero), so equality may honestly come out `Verdict.UNKNOWN`.
+equivalence of the terms.  For cosets of unknown origin, a sufficient
+criterion (the representative difference redresses into the subgroup) and
+a necessary one (it is P_zero) leave a gap, honestly `Verdict.UNKNOWN`.
 
 Collapsing the 0-shifted letters as a normal subgroup instead would
 trivialize everything: the characteristic relation g.1g.g = 1g.g.0g
@@ -19,7 +19,8 @@ from typing import NamedTuple, Optional
 
 from .action import Verdict
 from .blueprint import chi, star
-from .decide import Classification, classify, decide
+from .decide import Classification, _classify_fraction, decide
+from .redress import redress
 from .terms import Node, Term
 from .words import Word, inverse
 
@@ -45,10 +46,14 @@ def coset_mul(a: Coset, b: Coset) -> Coset:
 
 def coset_eq(a: Coset, b: Coset) -> Verdict:
     """Equality of cosets: decided through the terms when both origins are
-    known; otherwise NOT_EQUIVALENT when the representative difference is
-    not P_zero, and Unknown when it is (necessary, not known sufficient)."""
+    known.  Otherwise EQUIVALENT when the representative difference
+    redresses into the subgroup, every letter under address 0;
+    NOT_EQUIVALENT when it is not P_zero; and Unknown in between."""
     if a.origin is not None and b.origin is not None:
         return Verdict.EQUIVALENT if decide(a.origin, b.origin) else Verdict.NOT_EQUIVALENT
-    if classify(inverse(a.rep) + b.rep) is not Classification.P_ZERO:
+    fraction = redress(inverse(a.rep) + b.rep)
+    if all(l.addr.startswith("0") for l in fraction.num + fraction.den):
+        return Verdict.EQUIVALENT
+    if _classify_fraction(fraction) is not Classification.P_ZERO:
         return Verdict.NOT_EQUIVALENT
     return Verdict.UNKNOWN

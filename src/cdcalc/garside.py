@@ -15,11 +15,13 @@ runaway growth into a SizeLimitExceeded error instead of a hang.
 
 from typing import Optional
 
-from .action import DEFAULT_MAX_SIZE, apply_word
+from .action import apply_word
 from .errors import SizeLimitExceeded
 from .redress import complement
 from .terms import Node, Term, render_term
 from .words import Letter, Word, positive_addresses, render_word
+
+DEFAULT_MAX_SIZE = 10**6
 
 
 def delta(t: Term, max_size: Optional[int] = None) -> Word:
@@ -81,7 +83,7 @@ def delta(t: Term, max_size: Optional[int] = None) -> Word:
         lst, i, prefix = spine, 0, prefix + "0"
 
 
-def partial(t: Term, max_size: Optional[int] = DEFAULT_MAX_SIZE) -> Term:
+def partial(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Term:
     """The expansion (t)delta(t), built from the partials of smaller terms.
 
     With the spreads s_i and the rightmost leaf x of delta's docstring,
@@ -115,7 +117,7 @@ def partial(t: Term, max_size: Optional[int] = DEFAULT_MAX_SIZE) -> Term:
                 u = hit[0]
             done.append(u)
             total += u.size
-            if max_size is not None and total > max_size:
+            if total > max_size:
                 raise SizeLimitExceeded(
                     f"partial grew past {max_size} leaves: its finished parts hold {total}")
         elif stage == 1:
@@ -131,7 +133,7 @@ def partial(t: Term, max_size: Optional[int] = DEFAULT_MAX_SIZE) -> Term:
     return done[0]
 
 
-def partial_iter(t: Term, n: int, max_size: Optional[int] = DEFAULT_MAX_SIZE) -> Term:
+def partial_iter(t: Term, n: int, max_size: int = DEFAULT_MAX_SIZE) -> Term:
     """n-fold iteration of partial.  Tower-exponential: keep n small."""
     if n < 0:
         raise ValueError("iteration count must be >= 0")

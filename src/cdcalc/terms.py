@@ -4,7 +4,8 @@ A term is either a variable x1, x2, ... or a product t0*t1 of two terms.
 Nodes are located by addresses: strings over {0, 1}, read left to right
 from the root ("" is the root, "0" the left subterm, "1" the right one).
 
-All values are immutable and all functions are pure.  Traversals are
+All values are immutable, and every function is pure but `unify_into`,
+which extends its caller's binding store in place.  Traversals are
 iterative, and derived values such as skeletons are flat strings, so very
 deep terms (left combs of ~10^6 leaves) never recurse, in Python or in C.
 

@@ -107,10 +107,18 @@ def test_a_leading_inverse_letter_needs_a_separator(capsys):
      "at right-spine level 0 of 4, after 2 levels found P_zero"),
     (["--max-size", "5", "partial", "(x1 (x1 (x1 x1)))"],
      "partial grew past 5 leaves: its finished parts hold 8"),
+    (["--max-size", "3", "apply", "(x1 (x1 x1))", "e"],
+     "term grew past 3 leaves while applying a word"),
 ])
 def test_ceilings_end_in_the_error_envelope(capsys, args, error):
     assert main(["--json", *args]) == 2
     assert json.loads(capsys.readouterr().out) == {"ok": False, "error": error}
+
+
+def test_errors_in_text_go_to_stderr(capsys):
+    assert main(["decide", "(x1", "x1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: unclosed '(' (at position 3)\n")
 
 
 @pytest.mark.parametrize("option", ["--budget", "--max-size"])

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given
 
 from cdcalc import (
     Coset,
@@ -7,6 +8,7 @@ from cdcalc import (
     coset_eq,
     coset_mul,
     coset_of_term,
+    decide,
     group_equiv,
     oracle_equiv,
     parse_word,
@@ -15,7 +17,7 @@ from cdcalc import (
     shift,
     star,
 )
-from helpers import X, one_var_upto
+from helpers import X, one_var_upto, pos_words_st, words_st
 
 x = X
 
@@ -41,8 +43,31 @@ def test_coset_eq_examples():
     a, b = coset_of_term(x * (x * x)), coset_of_term((x * x) * (x * x))
     assert coset_eq(a, b) is Verdict.EQUIVALENT
     assert coset_eq(coset_of_term(x), coset_of_term(x * x)) is Verdict.NOT_EQUIVALENT
-    assert coset_eq(Coset(pos_word(["0"])), Coset(())) is Verdict.UNKNOWN
+    # the difference -0 redresses to eps | 0, inside the 0-shifted subgroup
+    assert coset_eq(Coset(pos_word(["0"])), Coset(())) is Verdict.EQUIVALENT
     assert coset_eq(Coset(pos_word([""])), Coset(())) is Verdict.NOT_EQUIVALENT
+    # P_zero, yet not redressed into the subgroup
+    assert coset_eq(Coset(chi(x * (x * x))), Coset(chi(x * (x * x)))) is Verdict.UNKNOWN
+
+
+@given(pos_words_st, words_st)
+def test_a_zero_shifted_factor_keeps_the_coset(u, w):
+    assert coset_eq(Coset(u), Coset(u + shift("0", w))) is Verdict.EQUIVALENT
+
+
+def test_origin_free_coset_equality_never_contradicts_decide():
+    terms = one_var_upto(6)
+    reps = [chi(t) for t in terms]
+    verdicts = {verdict: 0 for verdict in Verdict}
+    for t, u in zip(terms, reps):
+        for t2, u2 in zip(terms, reps):
+            verdict = coset_eq(Coset(u), Coset(u2))
+            wrong = Verdict.NOT_EQUIVALENT if decide(t, t2) else Verdict.EQUIVALENT
+            assert verdict is not wrong, (t, t2)
+            verdicts[verdict] += 1
+    # 4046 inequivalent and 179 equivalent ordered pairs; of the latter 6
+    # redress into the subgroup and the others stay Unknown
+    assert [verdicts[v] for v in Verdict] == [6, 4046, 173]
 
 
 def test_unknown_is_not_a_boolean():

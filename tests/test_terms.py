@@ -154,6 +154,12 @@ def test_leaf_index_is_a_positive_int(bad):
         Leaf(bad)
 
 
+def test_terms_multiply_and_compare_only_with_terms():
+    with pytest.raises(TypeError):
+        Leaf(1) * 3
+    assert (Leaf(1) == 3) is False
+
+
 @given(terms_st)
 def test_render_parse_roundtrip(t):
     assert parse_term(render_term(t)) == t
