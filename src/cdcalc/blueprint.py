@@ -11,7 +11,7 @@ differences chi(t)^-1 . chi(t2) into one list the same way (`_difference`).
 """
 
 from .terms import Node, Term, render_term
-from .words import Letter, Word, inverse, pos_word, shift
+from .words import Letter, Word, _letter, inverse, pos_word, shift
 
 PHI = pos_word([""])  # the single-letter word acting at the root
 
@@ -30,13 +30,13 @@ def _emit(t: Term, sign: int, out: list) -> None:
     chi(s0*s1) is chi(s0).1chi(s1).phi.1chi(s1)^-1 and its inverse is
     1chi(s1).phi^-1.1chi(s1)^-1.chi(s0)^-1: one middle block, with s0
     before it or after it, pushed in reverse.  Each letter is built once,
-    at its final address; leaves emit nothing and are never pushed."""
+    at its final address, by `words._letter`; leaves emit nothing and are
+    never pushed."""
     if t.max_var != 1:
         raise ValueError(f"one-variable term required (all leaves x1): {render_term(t)}")
     if type(t) is not Node:
         return
-    new = tuple.__new__  # skips Letter.__new__, a Python-level call
-    append = out.append
+    letter, append = _letter, out.append
     stack = [(t, "", sign)]
     pop, push = stack.pop, stack.append
     while stack:
@@ -51,10 +51,10 @@ def _emit(t: Term, sign: int, out: list) -> None:
         if type(right) is Node:
             lifted = prefix + "1"
             push((right, lifted, -1))
-            push(new(Letter, (prefix, s)))
+            push(letter((prefix, s)))
             push((right, lifted, 1))
         else:
-            push(new(Letter, (prefix, s)))
+            push(letter((prefix, s)))
         if s > 0 and type(left) is Node:
             push((left, prefix, 1))
 

@@ -23,9 +23,9 @@ from typing import Optional
 from .action import apply_word
 from .blueprint import _difference
 from .errors import StepBudgetExceeded
-from .redress import Fraction, redress
+from .redress import _reverse
 from .terms import Node, Term, project, right_comb, same_spine
-from .words import Word, positive_addresses
+from .words import Word, pos_word, positive_addresses
 
 
 def dil(i: int, u: Word) -> int:
@@ -38,7 +38,12 @@ def dil(i: int, u: Word) -> int:
     """
     if i < 0:
         raise ValueError("dil needs i >= 0")
-    for addr in positive_addresses(u):
+    return _dil(i, positive_addresses(u))
+
+
+def _dil(i: int, addrs) -> int:
+    """dil(i, -) of the positive word with the given addresses."""
+    for addr in addrs:
         if len(addr) < i and not addr.strip("0"):
             i += 1
     return i
@@ -50,9 +55,11 @@ class Classification(enum.Enum):
     P_PLUS = "P_plus"
 
 
-def _classify_fraction(fraction: Fraction) -> Classification:
-    den = dil(1, fraction.den)
-    num = dil(1, fraction.num)
+def _classify(num_addrs, den_addrs) -> Classification:
+    """The class of a fraction given by the addresses of its numerator and
+    denominator, as `_reverse` returns them."""
+    den = _dil(1, den_addrs)
+    num = _dil(1, num_addrs)
     if den == num:
         return Classification.P_ZERO
     return Classification.P_PLUS if den < num else Classification.P_MINUS
@@ -60,7 +67,7 @@ def _classify_fraction(fraction: Fraction) -> Classification:
 
 def classify(w: Word, budget: Optional[int] = None) -> Classification:
     """Compare dil(1, -) of the denominator and numerator of w's fraction."""
-    return _classify_fraction(redress(w, budget=budget))
+    return _classify(*_reverse(w, budget))
 
 
 def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
@@ -95,9 +102,11 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     level that differs.  Each level's difference is emitted letter by
     letter into one list, chi(q_k)^-1 and then chi(q2_k), each letter built
     once at its final address (see `blueprint._difference`), so no word is
-    copied on its way to `redress`.  `budget` bounds each level's redressing; a
-    budget error names the level and how many redressed levels below it
-    were found in P_zero.
+    copied on its way to `redress`.  Each level's fraction stays two lists of
+    addresses, which is all the P_zero test reads; only the top level's
+    becomes words of letters, for the certificate below.  `budget` bounds
+    each level's redressing; a budget error names the level and how many
+    redressed levels below it were found in P_zero.
 
     When every level passes, extend both terms by a tall right comb, apply
     the top level's fraction numerator on one side and denominator on the
@@ -117,19 +126,19 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     h = k = len(levels) - 1
     while k and levels[k - 1].left == levels2[k - 1].left:
         k -= 1
-    fraction = Fraction((), ())
+    num = den = ()
     for j in range(k - 1, -1, -1):
         try:
-            fraction = redress(_difference(levels[j], levels2[j]), budget=budget)
+            num, den = _reverse(_difference(levels[j], levels2[j]), budget)
         except StepBudgetExceeded as exc:
             raise StepBudgetExceeded(
                 f"{exc}; at right-spine level {j} of {h}, after {k - 1 - j} levels "
                 f"found P_zero") from exc
-        if _classify_fraction(fraction) is not Classification.P_ZERO:
+        if _classify(num, den) is not Classification.P_ZERO:
             return False
     p = max(t.size, t2.size)
-    a = apply_word(Node(t, right_comb(p)), fraction.num)
-    b = apply_word(Node(t2, right_comb(p)), fraction.den)
+    a = apply_word(Node(t, right_comb(p)), pos_word(num))
+    b = apply_word(Node(t2, right_comb(p)), pos_word(den))
     assert a is not None and b is not None, "fraction must apply to the comb-extended terms"
     return a == b
 

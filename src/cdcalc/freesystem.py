@@ -19,8 +19,8 @@ from typing import NamedTuple, Optional
 
 from .action import Verdict
 from .blueprint import chi, star
-from .decide import Classification, _classify_fraction, decide
-from .redress import redress
+from .decide import Classification, _classify, decide
+from .redress import _reverse
 from .terms import Node, Term
 from .words import Word, inverse
 
@@ -48,12 +48,21 @@ def coset_eq(a: Coset, b: Coset) -> Verdict:
     """Equality of cosets: decided through the terms when both origins are
     known.  Otherwise EQUIVALENT when the representative difference
     redresses into the subgroup, every letter under address 0;
-    NOT_EQUIVALENT when it is not P_zero; and Unknown in between."""
+    NOT_EQUIVALENT when it is not P_zero; and Unknown in between.  The
+    difference is freely reduced first, which keeps its group element:
+    redressing does not cancel a letter next to its own inverse, so
+    chi(t)^-1.chi(t) need not redress to the empty fraction."""
     if a.origin is not None and b.origin is not None:
         return Verdict.EQUIVALENT if decide(a.origin, b.origin) else Verdict.NOT_EQUIVALENT
-    fraction = redress(inverse(a.rep) + b.rep)
-    if all(l.addr.startswith("0") for l in fraction.num + fraction.den):
+    reduced = []
+    for addr, sign in inverse(a.rep) + b.rep:
+        if reduced and reduced[-1] == (addr, -sign):
+            reduced.pop()
+        else:
+            reduced.append((addr, sign))
+    num, den = _reverse(reduced, None)
+    if all(addr.startswith("0") for addr in num + den):
         return Verdict.EQUIVALENT
-    if _classify_fraction(fraction) is not Classification.P_ZERO:
+    if _classify(num, den) is not Classification.P_ZERO:
         return Verdict.NOT_EQUIVALENT
     return Verdict.UNKNOWN

@@ -19,7 +19,7 @@ from .action import apply_word
 from .errors import SizeLimitExceeded
 from .redress import complement
 from .terms import Node, Term, render_term
-from .words import Letter, Word, positive_addresses, render_word
+from .words import Word, _letter, positive_addresses, render_word
 
 DEFAULT_MAX_SIZE = 10**6
 
@@ -66,7 +66,7 @@ def delta(t: Term, max_size: Optional[int] = None) -> Word:
             if 1 + total > max_size:
                 raise SizeLimitExceeded(f"delta spread a term past {max_size} leaves")
         if h > 1:
-            out.extend([Letter(prefix + "1" * k, 1) for k in range(h - 2, -1, -1)])
+            out.extend([_letter((prefix + "1" * k, 1)) for k in range(h - 2, -1, -1)])
             if max_size is not None and len(out) > max_size:
                 raise SizeLimitExceeded(
                     f"delta grew past {max_size} letters, so its expansion passes {max_size} leaves")

@@ -16,6 +16,12 @@ Redressing always terminates; for positive u and v, one reversal of u^-1.v
 yields both complements, as the fraction (u\\v).(v\\u)^-1, and u and v
 are equivalent exactly when both are empty.  That decides the
 positive-word and group word problems, both exposed here.
+
+One core, `_reverse`, does the redressing on address strings and returns
+the numerator and the denominator as lists of addresses.  `redress` wraps
+them as a `Fraction` of positive words; `complement` builds only the
+numerator's letters, and `pos_equiv` builds none.  Callers that only read
+addresses, such as the P_zero test of `decide`, call the core directly.
 """
 
 from typing import NamedTuple, Optional
@@ -64,6 +70,20 @@ class Fraction(NamedTuple):
 def redress(w: Word, budget: Optional[int] = None) -> Fraction:
     """Redress w to its unique fraction form, leftmost eligible factor first.
 
+    Termination is guaranteed, not speed: blueprint differences of random
+    32-leaf terms can need 10**6 to 10**7 steps; past `budget` (default
+    10**6), StepBudgetExceeded is raised.  `_reverse` does the work, on
+    addresses; this builds the letters of both words.
+    """
+    num, den = _reverse(w, budget)
+    return Fraction(pos_word(num), pos_word(den))
+
+
+def _reverse(w: Word, budget: Optional[int]):
+    """The reversal core of `redress`: the numerator and the denominator of
+    w's fraction as lists of addresses, the denominator in its own order.
+    `budget` is `redress`'s.
+
     The word is held as addresses in a gap buffer: `left`, the letters
     before the gap, positives in left[:npos] and then negatives; `right`,
     the negatives after the gap, reversed; `pending`, the positives still
@@ -82,9 +102,7 @@ def redress(w: Word, budget: Optional[int] = None) -> Fraction:
     nothing, so it changes no step.  An insertion or deletion in `left`
     shifts only the passed run, and a slice carries a letter across the gap
     only after a step passed it or a cell wrote it, and back at most once
-    for that: O(1) amortised work per step.  Termination is guaranteed, not
-    speed: blueprint differences of random 32-leaf terms can need 10**6 to
-    10**7 steps; past `budget` (default 10**6), StepBudgetExceeded is raised.
+    for that: O(1) amortised work per step.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -151,7 +169,7 @@ def redress(w: Word, budget: Optional[int] = None) -> Fraction:
                     right += (y + "01" + x[m + 2:], x)
                 else:
                     right.append(x)
-    return Fraction(pos_word(left[:npos]), pos_word(reversed(left[npos:])))
+    return left[:npos], left[npos:][::-1]
 
 
 def complement(u: Word, v: Word, budget: Optional[int] = None) -> Word:
@@ -159,7 +177,7 @@ def complement(u: Word, v: Word, budget: Optional[int] = None) -> Word:
     Total on positive words."""
     positive_addresses(u)
     positive_addresses(v)
-    return redress(inverse(u) + v, budget=budget).num
+    return pos_word(_reverse(inverse(u) + v, budget)[0])
 
 
 def pos_equiv(u: Word, v: Word, budget: Optional[int] = None) -> bool:
@@ -167,7 +185,8 @@ def pos_equiv(u: Word, v: Word, budget: Optional[int] = None) -> bool:
     redress to the empty fraction, so that both complements vanish."""
     positive_addresses(u)
     positive_addresses(v)
-    return redress(inverse(u) + v, budget=budget) == Fraction((), ())
+    num, den = _reverse(inverse(u) + v, budget)
+    return not num and not den
 
 
 def group_equiv(w: Word, w2: Word, budget: Optional[int] = None) -> bool:

@@ -12,6 +12,8 @@ whitespace around the word is ignored; no other character is, Unicode
 spaces included.
 """
 
+from functools import partial
+from itertools import repeat
 from string import whitespace
 from typing import NamedTuple
 
@@ -25,10 +27,14 @@ class Letter(NamedTuple):
 
 Word = tuple  # tuple of Letter
 
+# A Letter from an (addr, sign) pair, made by tuple.__new__ directly: it
+# skips the NamedTuple's Python-level __new__, the bulk of a Letter's cost.
+_letter = partial(tuple.__new__, Letter)
+
 
 def pos_word(addresses) -> Word:
     """The positive word made of the given addresses, in order."""
-    return tuple([Letter(a, 1) for a in addresses])
+    return tuple(map(_letter, zip(addresses, repeat(1))))
 
 
 def is_positive(w: Word) -> bool:
@@ -44,12 +50,12 @@ def positive_addresses(w: Word):
 
 def inverse(w: Word) -> Word:
     """The formal inverse: letters reversed, every sign flipped."""
-    return tuple([Letter(l.addr, -l.sign) for l in reversed(w)])
+    return tuple([_letter((addr, -sign)) for addr, sign in reversed(w)])
 
 
 def shift(gamma: str, w: Word) -> Word:
     """Prefix `gamma` to every letter's address, keeping signs and length."""
-    return tuple([Letter(gamma + l.addr, l.sign) for l in w])
+    return tuple([_letter((gamma + addr, sign)) for addr, sign in w])
 
 
 def render_word(w: Word) -> str:
@@ -72,6 +78,6 @@ def parse_word(text: str) -> Word:
             addr = body
         else:
             raise ParseError(f"bad letter {chunk!r}", pos)
-        letters.append(Letter(addr, sign))
+        letters.append(_letter((addr, sign)))
         pos += len(chunk) + 1
     return tuple(letters)

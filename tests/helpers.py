@@ -11,11 +11,18 @@ from cdcalc import (
     Node,
     SizeLimitExceeded,
     StepBudgetExceeded,
+    apply_word,
+    chi,
+    dil,
     expansions,
     f_cd,
     first_occurrences,
     inverse,
     pos_word,
+    project,
+    redress,
+    right_comb,
+    same_spine,
     star,
     variables,
 )
@@ -186,6 +193,38 @@ def reference_redress(w, budget=None):
             done.append(b)
     num = tuple(letter for letter in done if letter.sign > 0)
     return Fraction(num, inverse(done[len(num):])), steps
+
+
+def reference_decide(t, t2, budget=None):
+    """`decide`'s level sweep on words of letters, through the public `chi`,
+    `inverse`, `redress` and `dil`: each level's blueprint difference is
+    redressed to a Fraction and classified by dil(1, -) of its words, and
+    the top level's fraction is applied to the comb-extended terms.
+    `decide` must give the same verdicts and the same budget texts."""
+    if not same_spine(t, t2):
+        return False
+    levels, levels2 = [project(t)], [project(t2)]
+    while type(levels[-1]) is Node:
+        levels.append(levels[-1].right)
+        levels2.append(levels2[-1].right)
+    h = k = len(levels) - 1
+    while k and levels[k - 1].left == levels2[k - 1].left:
+        k -= 1
+    fraction = Fraction((), ())
+    for j in range(k - 1, -1, -1):
+        try:
+            fraction = redress(inverse(chi(levels[j])) + chi(levels2[j]), budget=budget)
+        except StepBudgetExceeded as exc:
+            raise StepBudgetExceeded(
+                f"{exc}; at right-spine level {j} of {h}, after {k - 1 - j} levels "
+                f"found P_zero") from exc
+        if dil(1, fraction.num) != dil(1, fraction.den):
+            return False
+    p = max(t.size, t2.size)
+    a = apply_word(Node(t, right_comb(p)), fraction.num)
+    b = apply_word(Node(t2, right_comb(p)), fraction.den)
+    assert a is not None and b is not None
+    return a == b
 
 
 def reference_chi(t):

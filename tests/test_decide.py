@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from cdcalc import (
     Classification,
@@ -43,6 +44,7 @@ from cdcalc import (
     variables,
 )
 from cdcalc.cli import main
+from cdcalc.redress import _reverse
 from helpers import (
     X,
     cd_relations,
@@ -53,6 +55,8 @@ from helpers import (
     one_var_upto,
     random_term,
     reference_chi,
+    reference_decide,
+    words_st,
 )
 
 x = X
@@ -109,6 +113,18 @@ def test_classify_examples():
         assert classify(shift("0", w)) is Classification.P_ZERO
 
 
+@settings(max_examples=100, deadline=None)
+@given(words_st)
+def test_classify_reads_dil_of_the_redressed_fraction(w):
+    fraction = redress(w)
+    num, den = dil(1, fraction.num), dil(1, fraction.den)
+    if num == den:
+        expected = Classification.P_ZERO
+    else:
+        expected = Classification.P_PLUS if den < num else Classification.P_MINUS
+    assert classify(w) is expected
+
+
 def test_classification_invariant_under_relation_substitution():
     rng = random.Random(31)
     rels = cd_relations(1)
@@ -122,6 +138,27 @@ def test_classification_invariant_under_relation_substitution():
         assert classify(prefix + u + suffix) == classify(prefix + v + suffix)
         a = Letter(rng.choice(addrs), 1)
         assert classify(prefix + (a,) + inverse((a,)) + suffix) == classify(prefix + suffix)
+
+
+def _outcome(decision, t, t2, budget):
+    try:
+        return decision(t, t2, budget=budget)
+    except StepBudgetExceeded as exc:
+        return str(exc)
+
+
+def test_decide_matches_the_letter_path_reference():
+    # decide keeps each level's fraction as address lists; the reference
+    # redresses and classifies words of letters through the public functions
+    terms = one_var_upto(6) + labeled_upto(3, 2)
+    outcomes = set()
+    for budget in (None, 5):
+        for t in terms:
+            for t2 in terms:
+                outcome = _outcome(decide, t, t2, budget)
+                assert outcome == _outcome(reference_decide, t, t2, budget), (t, t2, budget)
+                outcomes.add(outcome if type(outcome) is bool else "budget")
+    assert outcomes == {True, False, "budget"}
 
 
 def test_decide_one_variable_examples():
@@ -231,7 +268,7 @@ def test_spine_reject_needs_no_redressing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("redress called on a spine-refutable pair")
 
-    monkeypatch.setattr(sys.modules["cdcalc.decide"], "redress", refuse)
+    monkeypatch.setattr(sys.modules["cdcalc.decide"], "_reverse", refuse)
     assert decide(x * (x * x), x * x) is False
     assert decide(parse_term("(x1 x2)"), parse_term("(x2 x1)")) is False
     assert decide(parse_term("(x1 (x2 x3))"), parse_term("((x1 x2) (x2 x1))")) is False
@@ -274,11 +311,11 @@ def test_decide_holds_along_random_signed_walks():
 def test_decide_redresses_only_the_levels_that_differ(monkeypatch):
     calls = []
 
-    def counting(w, budget=None):
+    def counting(w, budget):
         calls.append(w)
-        return redress(w, budget=budget)
+        return _reverse(w, budget)
 
-    monkeypatch.setattr(sys.modules["cdcalc.decide"], "redress", counting)
+    monkeypatch.setattr(sys.modules["cdcalc.decide"], "_reverse", counting)
     for t in (parse_term(KNOWN_32[0]), partial(right_comb(6)), parse_term("(((x1 x2) x1) x3)")):
         assert decide(t, t) is True
     assert calls == []
@@ -309,11 +346,11 @@ def test_each_level_redresses_its_blueprint_difference(monkeypatch):
     # refutes or the top passes
     calls = []
 
-    def recording(w, budget=None):
+    def recording(w, budget):
         calls.append(tuple(w))
-        return redress(w, budget=budget)
+        return _reverse(w, budget)
 
-    monkeypatch.setattr(sys.modules["cdcalc.decide"], "redress", recording)
+    monkeypatch.setattr(sys.modules["cdcalc.decide"], "_reverse", recording)
     rng = random.Random(43)
     pairs = [(t, t2) for t in one_var_upto(6) for t2 in one_var_upto(6)]
     pairs += [(random_term(rng, n, 1), random_term(rng, n, 1))

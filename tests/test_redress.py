@@ -291,6 +291,14 @@ def test_complement_examples():
             complement(*args)
 
 
+@settings(max_examples=100, deadline=None)
+@given(pos_words_st, pos_words_st)
+def test_complement_and_pos_equiv_read_the_redressed_fraction(u, v):
+    fraction = redress(inverse(u) + v)
+    assert complement(u, v) == fraction.num
+    assert pos_equiv(u, v) == (fraction == Fraction((), ()))
+
+
 def test_pos_equiv_examples():
     assert pos_equiv(parse_word("1.e.0"), parse_word("e.1.e"))
     assert not pos_equiv(parse_word("e"), ())

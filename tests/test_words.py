@@ -4,15 +4,19 @@ from hypothesis import given
 from cdcalc import (
     Letter,
     ParseError,
+    chi,
+    complement,
+    delta,
     inverse,
     is_positive,
     parse_word,
     pos_word,
     positive_addresses,
+    redress,
     render_word,
     shift,
 )
-from helpers import words_st
+from helpers import cd_relations, one_var_upto, words_st
 
 
 def test_parse_and_render():
@@ -80,3 +84,15 @@ def test_positive_helpers():
     assert positive_addresses(w) == ("", "01")
     with pytest.raises(ValueError):
         positive_addresses((Letter("1", -1),))
+
+
+def test_every_word_is_made_of_letters():
+    # words are tuples of real Letters, however their letters were built
+    words = [parse_word("1.-e.0"), pos_word(["", "01"])]
+    for u, v in cd_relations(1):
+        fraction = redress(inverse(u) + v)
+        words += [fraction.num, fraction.den, complement(u, v), shift("1", u)]
+    for t in one_var_upto(5):
+        words += [chi(t), delta(t)]
+    assert sum(map(len, words)) > 250
+    assert all(type(l) is Letter for w in words for l in w)
