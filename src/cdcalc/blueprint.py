@@ -7,11 +7,12 @@ applied to the sub-blueprints.
 
 Blueprints are emitted, not composed (see `_emit`): no subterm's word is
 copied into its parent's, and `decide` and `compare` emit their blueprint
-differences chi(t)^-1 . chi(t2) into one list the same way (`_difference`).
+differences chi(t)^-1 . chi(t2) into one list the same way (`_difference`),
+as plain (address, sign) pairs, since redressing reads only those.
 """
 
 from .terms import Node, Term, render_term
-from .words import Letter, Word, _letter, inverse, pos_word, shift
+from .words import Word, _letter, inverse, pos_word, shift
 
 PHI = pos_word([""])  # the single-letter word acting at the root
 
@@ -22,26 +23,27 @@ def star(u: Word, v: Word) -> Word:
     return u + lifted + PHI + inverse(lifted)
 
 
-def _emit(t: Term, sign: int, out: list) -> None:
-    """Append chi(t) to `out` when sign is 1, chi(t)^-1 when it is -1.
+def _emit(t: Term, sign: int, out: list, letter) -> None:
+    """Append chi(t) to `out` when sign is 1, chi(t)^-1 when it is -1, each
+    letter made by `letter` from its (address, sign) pair: `words._letter`
+    for a word of Letters, or `tuple`, which returns the pair itself.
 
     A walk entry (s, prefix, sign) stands for chi(s)^sign shifted under
-    `prefix`; a Letter on the stack is the phi of an entry already split.
+    `prefix`; an entry of two fields is the phi of an entry already split.
     chi(s0*s1) is chi(s0).1chi(s1).phi.1chi(s1)^-1 and its inverse is
     1chi(s1).phi^-1.1chi(s1)^-1.chi(s0)^-1: one middle block, with s0
     before it or after it, pushed in reverse.  Each letter is built once,
-    at its final address, by `words._letter`; leaves emit nothing and are
-    never pushed."""
+    at its final address; leaves emit nothing and are never pushed."""
     if t.max_var != 1:
         raise ValueError(f"one-variable term required (all leaves x1): {render_term(t)}")
     if type(t) is not Node:
         return
-    letter, append = _letter, out.append
+    append = out.append
     stack = [(t, "", sign)]
     pop, push = stack.pop, stack.append
     while stack:
         entry = pop()
-        if type(entry) is Letter:
+        if len(entry) == 2:
             append(entry)
             continue
         cur, prefix, s = entry
@@ -65,13 +67,14 @@ def chi(t: Term) -> Word:
     letter (see `_emit`) in time and memory linear in its length.  The
     one-variable precondition is checked in O(1), from `max_var`."""
     out = []
-    _emit(t, 1, out)
+    _emit(t, 1, out, _letter)
     return tuple(out)
 
 
 def _difference(t: Term, t2: Term) -> list:
-    """The blueprint difference chi(t)^-1 . chi(t2), emitted into one list."""
+    """The blueprint difference chi(t)^-1 . chi(t2), emitted into one list
+    of (address, sign) pairs."""
     out = []
-    _emit(t, -1, out)
-    _emit(t2, 1, out)
+    _emit(t, -1, out, tuple)
+    _emit(t2, 1, out, tuple)
     return out

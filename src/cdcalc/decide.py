@@ -100,13 +100,14 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     refutes.  A level with q_k == q2_k needs no redressing, and then
     neither does any level below it, so the sweep starts at the deepest
     level that differs.  Each level's difference is emitted letter by
-    letter into one list, chi(q_k)^-1 and then chi(q2_k), each letter built
-    once at its final address (see `blueprint._difference`), so no word is
-    copied on its way to `redress`.  Each level's fraction stays two lists of
-    addresses, which is all the P_zero test reads; only the top level's
-    becomes words of letters, for the certificate below.  `budget` bounds
-    each level's redressing; a budget error names the level and how many
-    redressed levels below it were found in P_zero.
+    letter into one list, chi(q_k)^-1 and then chi(q2_k), each letter an
+    (address, sign) pair made once at its final address (see
+    `blueprint._difference`), so no word is copied on its way to
+    redressing.  Fractions stay address lists until the certificate: each
+    level's numerator and denominator are what the P_zero test reads, and
+    only the top level's become words of Letters, for the certificate
+    below.  `budget` bounds each level's redressing; a budget error names
+    the level and how many redressed levels below it were found in P_zero.
 
     When every level passes, extend both terms by a tall right comb, apply
     the top level's fraction numerator on one side and denominator on the

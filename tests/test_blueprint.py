@@ -20,6 +20,7 @@ from cdcalc import (
     trace,
 )
 from cdcalc.blueprint import _emit
+from cdcalc.words import _letter
 from helpers import X, cd_relations, one_var_term_st, one_var_upto, random_term, reference_chi
 
 x = X
@@ -53,9 +54,10 @@ def test_chi_matches_the_star_reference():
     for t in _one_var_cases():
         expected = reference_chi(t)
         assert chi(t) == expected
-        out = []
-        _emit(t, -1, out)
-        assert tuple(out) == inverse(expected)
+        for letter in (_letter, tuple):  # Letters, or plain pairs
+            out = []
+            _emit(t, -1, out, letter)
+            assert tuple(out) == inverse(expected)
 
 
 def test_star_examples():
