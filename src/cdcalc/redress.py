@@ -82,7 +82,8 @@ def redress(w: Word, budget: Optional[int] = None) -> Fraction:
 def _reverse(w: Word, budget: Optional[int]):
     """The reversal core of `redress`: the numerator and the denominator of
     w's fraction as lists of addresses, the denominator in its own order.
-    `budget` is `redress`'s.
+    w may be a word or any sequence of (address, sign) pairs; `budget` is
+    `redress`'s.
 
     The word is held as addresses in a gap buffer: `left`, the letters
     before the gap, positives in left[:npos] and then negatives; `right`,
