@@ -23,17 +23,16 @@ def star(u: Word, v: Word) -> Word:
     return u + lifted + PHI + inverse(lifted)
 
 
-def _emit(t: Term, sign: int, out: list, letter) -> None:
-    """Append chi(t) to `out` when sign is 1, chi(t)^-1 when it is -1, each
-    letter made by `letter` from its (address, sign) pair: `words._letter`
-    for a word of Letters, or `tuple`, which returns the pair itself.
+def _emit(t: Term, sign: int, out: list) -> None:
+    """Append chi(t) to `out` when sign is 1, chi(t)^-1 when it is -1, as
+    plain (address, sign) pairs.
 
     A walk entry (s, prefix, sign) stands for chi(s)^sign shifted under
     `prefix`; an entry of two fields is the phi of an entry already split.
     chi(s0*s1) is chi(s0).1chi(s1).phi.1chi(s1)^-1 and its inverse is
     1chi(s1).phi^-1.1chi(s1)^-1.chi(s0)^-1: one middle block, with s0
-    before it or after it, pushed in reverse.  Each letter is built once,
-    at its final address; leaves emit nothing and are never pushed."""
+    before it or after it, pushed in reverse.  Each pair is built once, at
+    its final address; leaves emit nothing and are never pushed."""
     if t.max_var != 1:
         raise ValueError(f"one-variable term required (all leaves x1): {render_term(t)}")
     if type(t) is not Node:
@@ -53,28 +52,29 @@ def _emit(t: Term, sign: int, out: list, letter) -> None:
         if type(right) is Node:
             lifted = prefix + "1"
             push((right, lifted, -1))
-            push(letter((prefix, s)))
+            push((prefix, s))
             push((right, lifted, 1))
         else:
-            push(letter((prefix, s)))
+            push((prefix, s))
         if s > 0 and type(left) is Node:
             push((left, prefix, 1))
 
 
 def chi(t: Term) -> Word:
     """The blueprint of a one-variable term; the unique homomorphism into
-    words under star that sends x to the empty word, emitted letter by
-    letter (see `_emit`) in time and memory linear in its length.  The
-    one-variable precondition is checked in O(1), from `max_var`."""
+    words under star that sends x to the empty word, emitted pair by pair
+    (see `_emit`) in time and memory linear in its length, and each pair
+    then made a Letter.  The one-variable precondition is checked in O(1),
+    from `max_var`."""
     out = []
-    _emit(t, 1, out, _letter)
-    return tuple(out)
+    _emit(t, 1, out)
+    return tuple(map(_letter, out))
 
 
 def _difference(t: Term, t2: Term) -> list:
     """The blueprint difference chi(t)^-1 . chi(t2), emitted into one list
     of (address, sign) pairs."""
     out = []
-    _emit(t, -1, out, tuple)
-    _emit(t2, 1, out, tuple)
+    _emit(t, -1, out)
+    _emit(t2, 1, out)
     return out

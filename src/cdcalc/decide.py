@@ -55,19 +55,14 @@ class Classification(enum.Enum):
     P_PLUS = "P_plus"
 
 
-def _classify(num_addrs, den_addrs) -> Classification:
-    """The class of a fraction given by the addresses of its numerator and
-    denominator, as `_reverse` returns them."""
-    den = _dil(1, den_addrs)
-    num = _dil(1, num_addrs)
-    if den == num:
-        return Classification.P_ZERO
-    return Classification.P_PLUS if den < num else Classification.P_MINUS
-
-
 def classify(w: Word, budget: Optional[int] = None) -> Classification:
-    """Compare dil(1, -) of the denominator and numerator of w's fraction."""
-    return _classify(*_reverse(w, budget))
+    """Compare dil(1, -) of the denominator and numerator of w's fraction,
+    read off the address lists that `_reverse` returns."""
+    num, den = _reverse(w, budget)
+    d, n = _dil(1, den), _dil(1, num)
+    if d == n:
+        return Classification.P_ZERO
+    return Classification.P_PLUS if d < n else Classification.P_MINUS
 
 
 def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
@@ -103,11 +98,12 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     letter into one list, chi(q_k)^-1 and then chi(q2_k), each letter an
     (address, sign) pair made once at its final address (see
     `blueprint._difference`), so no word is copied on its way to
-    redressing.  Fractions stay address lists until the certificate: each
-    level's numerator and denominator are what the P_zero test reads, and
-    only the top level's become words of Letters, for the certificate
-    below.  `budget` bounds each level's redressing; a budget error names
-    the level and how many redressed levels below it were found in P_zero.
+    redressing.  Fractions stay address lists until the certificate: the
+    P_zero test compares dil(1, -) of each level's numerator and
+    denominator, read off those lists, and only the top level's become
+    words of Letters, for the certificate below.  `budget` bounds each
+    level's redressing; a budget error names the level and how many
+    redressed levels below it were found in P_zero.
 
     When every level passes, extend both terms by a tall right comb, apply
     the top level's fraction numerator on one side and denominator on the
@@ -135,7 +131,7 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
             raise StepBudgetExceeded(
                 f"{exc}; at right-spine level {j} of {h}, after {k - 1 - j} levels "
                 f"found P_zero") from exc
-        if _classify(num, den) is not Classification.P_ZERO:
+        if _dil(1, num) != _dil(1, den):
             return False
     p = max(t.size, t2.size)
     a = apply_word(Node(t, right_comb(p)), pos_word(num))

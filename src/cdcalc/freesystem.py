@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from .action import Verdict
 from .blueprint import chi, star
-from .decide import Classification, _classify, decide
+from .decide import _dil, decide
 from .redress import _reverse
 from .terms import Node, Term
 from .words import Word, inverse
@@ -63,6 +63,6 @@ def coset_eq(a: Coset, b: Coset) -> Verdict:
     num, den = _reverse(reduced, None)
     if all(addr.startswith("0") for addr in num + den):
         return Verdict.EQUIVALENT
-    if _classify(num, den) is not Classification.P_ZERO:
+    if _dil(1, num) != _dil(1, den):
         return Verdict.NOT_EQUIVALENT
     return Verdict.UNKNOWN

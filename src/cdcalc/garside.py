@@ -24,7 +24,7 @@ from .words import Word, _letter, positive_addresses, render_word
 DEFAULT_MAX_SIZE = 10**6
 
 
-def delta(t: Term, max_size: Optional[int] = None) -> Word:
+def delta(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Word:
     """The distinguished positive word of t.
 
     With h the right height, left factors l_0 ... l_{h-1} down the right
@@ -39,12 +39,11 @@ def delta(t: Term, max_size: Optional[int] = None) -> Word:
     right spine are L[k:-1] followed by those of L[-1].  So s_k is the list
     l_0 ... l_{h-1} at k, and each spread's spreads come from its list alike.
 
-    With `max_size`, raise SizeLimitExceeded as soon as some (u)phi^(h-1),
-    for u = t or a spread met on the way, or the built word is larger.
-    That happens only where partial(t, max_size) raises anyway: every
-    positive letter adds at least one leaf, so len(delta(t)) <=
-    size(partial t) - size(t), and every spread is a subterm of an
-    intermediate term of (t)delta(t).
+    One ceiling bounds what is built, the word: SizeLimitExceeded as soon
+    as it passes `max_size` letters, 10^6 by default.  It counts no
+    spread's leaves, since no spread is built.  delta raises only where
+    partial(t, max_size) raises anyway: every positive letter adds at
+    least one leaf, so len(delta(t)) <= size(partial t) - size(t).
     """
     # Preorder over spreads, leaves skipped: each letter is built once, at
     # its final address, and nothing is kept but the output.  s_0 is walked
@@ -57,17 +56,9 @@ def delta(t: Term, max_size: Optional[int] = None) -> Word:
             spine.append(cur.left)
             cur = cur.right
         h = len(spine)
-        if max_size is not None:
-            # size(s_k) is the summed size of spine[k:]
-            total = run = 0
-            for s in reversed(spine):
-                run += s.size
-                total += run
-            if 1 + total > max_size:
-                raise SizeLimitExceeded(f"delta spread a term past {max_size} leaves")
         if h > 1:
             out.extend([_letter((prefix + "1" * k, 1)) for k in range(h - 2, -1, -1)])
-            if max_size is not None and len(out) > max_size:
+            if len(out) > max_size:
                 raise SizeLimitExceeded(
                     f"delta grew past {max_size} letters, so its expansion passes {max_size} leaves")
             # s_{h-1} = l_{h-1} may be a leaf; the other spreads are products
@@ -146,7 +137,8 @@ def delta_transport(t: Term, u: Word) -> Word:
     """A positive u2 with u.delta((t)u) equivalent to delta(t).u2, given
     that u applies to t: the complement delta(t)\\(u.delta((t)u)), from one
     reversal.  delta(t) left-divides u.delta((t)u), so by the reversal grid
-    the equivalence holds; the tests check it."""
+    the equivalence holds; the tests check it.  Both deltas run under
+    delta's default ceiling of 10^6 letters."""
     positive_addresses(u)
     t2 = apply_word(t, u)
     if t2 is None:

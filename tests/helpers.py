@@ -249,8 +249,8 @@ def reference_chi(t):
 
 def reference_delta(t, max_size=None):
     """delta(t) by the plain walk: each spread is built as a Node, then its
-    right spine is walked.  `delta` must give the same words and the same
-    SizeLimitExceeded texts."""
+    right spine is walked.  `delta` must give the same words and, with a
+    ceiling on the letters built, the same SizeLimitExceeded texts."""
     out = []
     stack = [(t, "")]
     while stack:
@@ -264,8 +264,6 @@ def reference_delta(t, max_size=None):
         h = len(spreads)
         for i in range(h - 2, -1, -1):
             spreads[i] = Node(spreads[i], spreads[i + 1])
-        if max_size is not None and 1 + sum(s.size for s in spreads) > max_size:
-            raise SizeLimitExceeded(f"delta spread a term past {max_size} leaves")
         out.extend(Letter(prefix + "1" * k, 1) for k in range(h - 2, -1, -1))
         if max_size is not None and len(out) > max_size:
             raise SizeLimitExceeded(

@@ -97,7 +97,8 @@ def test_a_leading_inverse_letter_needs_a_separator(capsys):
 
 
 @pytest.mark.parametrize("args, error", [
-    (["--max-size", "3", "delta", "(x1 (x1 (x1 (x1 x1))))"], "delta spread a term past 3 leaves"),
+    (["--max-size", "3", "delta", "(x1 (x1 (x1 (x1 x1))))"],
+     "delta grew past 3 letters, so its expansion passes 3 leaves"),
     (["--budget", "1", "lcm", "0", "1.e"],
      "redressing stopped at its budget after 1 steps; the word has 3 letters, the input had 3"),
     (["expand", "--steps", "-1", T3], "steps must be >= 0"),
@@ -113,6 +114,12 @@ def test_a_leading_inverse_letter_needs_a_separator(capsys):
 def test_ceilings_end_in_the_error_envelope(capsys, args, error):
     assert main(["--json", *args]) == 2
     assert json.loads(capsys.readouterr().out) == {"ok": False, "error": error}
+
+
+def test_delta_ceiling_bounds_only_the_word(capsys):
+    # the spreads of ((x1 x1) (x1 x1)) pass 3 leaves, but its word is e
+    assert main(["--json", "--max-size", "3", "delta", "((x1 x1) (x1 x1))"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "result": "e"}
 
 
 def test_errors_in_text_go_to_stderr(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import tracemalloc
@@ -29,6 +30,7 @@ from cdcalc import (
     subterm,
 )
 from cdcalc.cli import main
+from cdcalc.garside import DEFAULT_MAX_SIZE
 from helpers import X, is_expansion, labeled_upto, one_var_upto, random_term, reference_delta
 
 x = X
@@ -188,6 +190,23 @@ def test_delta_size_ceiling():
         delta(partial(x * (x * (x * (x * x)))), max_size=20)
 
 
+def test_delta_ceiling_counts_only_its_letters():
+    # the one ceiling bounds the word delta builds: it answers exactly when
+    # the word fits, however large the spreads it reads
+    for t in one_var_upto(6) + _garside_cases():
+        d = delta(t)
+        for m in range(len(d) + 2):
+            if len(d) <= m:
+                assert delta(t, max_size=m) == d
+            else:
+                with pytest.raises(SizeLimitExceeded) as err:
+                    delta(t, max_size=m)
+                assert str(err.value) == (
+                    f"delta grew past {m} letters, so its expansion passes {m} leaves")
+    for fn in (delta, partial, partial_iter):
+        assert inspect.signature(fn).parameters["max_size"].default == DEFAULT_MAX_SIZE
+
+
 def _delta_outcome(delta_fn, t, max_size):
     try:
         return delta_fn(t, max_size)
@@ -196,11 +215,11 @@ def _delta_outcome(delta_fn, t, max_size):
 
 
 def test_delta_matches_the_spread_building_reference_at_every_ceiling():
-    # _garside_cases() holds right_comb(1...10); ceilings around size(partial t)
-    # sit where the word check and the spread check trade places
+    # _garside_cases() holds right_comb(1...10); ceilings from 0 up to past
+    # size(partial t) bound the word
     for t in _garside_cases():
         size = partial(t).size
-        for max_size in (None, *range(41), 64, 256, 1024, size - 1, size, size + 1):
+        for max_size in (*range(41), 64, 256, 1024, size - 1, size, size + 1):
             assert (_delta_outcome(delta, t, max_size)
                     == _delta_outcome(reference_delta, t, max_size)), (render_term(t), max_size)
 
