@@ -10,11 +10,12 @@ one-variable terms lies in P_zero exactly when they are equivalent.
 
 `decide` answers every term-equivalence question along one pipeline: a
 right-spine reject, in O(h) on one-variable pairs of right height h and in
-O(n) on others, then one sweep up the right spine of the
-one-variable projections, from the deepest level that differs to the top,
-which refutes at the first level whose blueprint difference is not in
-P_zero, and one literal comparison of the expansions the top level's
-fraction builds.
+O(n) on others; a bottom-path reject on the one-variable projections, in
+O(length of the bottom path); then one sweep up the right spine of the
+projections, from the deepest level that differs to the top, which refutes
+at the first level whose blueprint difference is not in P_zero, and one
+literal comparison of the expansions the top level's fraction builds.
+Neither reject builds or redresses a blueprint difference.
 """
 
 import enum
@@ -81,9 +82,23 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     pairs, whose profiles follow from the right heights and `max_var`, and
     O(n) otherwise, instead of a redressing.
 
-    Otherwise project both terms to one variable and sweep their iterated
-    right subterms q_k, q2_k (level 0 is the term, level h its rightmost
-    leaf) from the bottom up.  The same cases show that every letter keeps
+    Then refute on the bottom path of the one-variable projections.  The
+    lowest node on a term's right spine is s*x, with x a leaf; s is the
+    term's bottom factor, and the bottom path is the term, its bottom
+    factor, that factor's bottom factor and so on down to a leaf.  No letter
+    applies at s*x, since both sides of the identity need a product on the
+    right.  A letter at a higher spine address rewrites s0*(s1*s2) to
+    (s0*s1)*(s1*s2) or back, and keeps s1*s2, so s*x, literally.  Any other
+    letter that reaches s*x acts inside s.  So equivalent terms have
+    equivalent bottom factors, and by recursion the same right height at
+    every step of the bottom path.  Both paths are walked in lockstep, and
+    the first right height that differs means "not equivalent".  The walk
+    costs O(length of the path) and runs before any blueprint difference
+    is built.
+
+    Otherwise sweep the iterated right subterms q_k, q2_k of the
+    projections (level 0 is the term, level h its rightmost leaf) from the
+    bottom up.  The same cases show that every letter keeps
     each level k up to equivalence: a letter at 1^j with j < k keeps its
     right subterm s1*s2, which holds level k, literally; a letter inside
     the left factor of a level j < k leaves level k alone; and any other
@@ -116,7 +131,18 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     """
     if not same_spine(t, t2):
         return False
-    levels, levels2 = [project(t)], [project(t2)]
+    q, q2 = project(t), project(t2)
+    a, b = q, q2
+    while type(a) is Node and type(b) is Node:  # the bottom paths, in lockstep
+        if type(a.right) is Node:
+            a, b = a.right, b.right
+        elif type(b.right) is Node:
+            return False
+        else:
+            a, b = a.left, b.left
+    if type(a) is not type(b):
+        return False
+    levels, levels2 = [q], [q2]
     while type(levels[-1]) is Node:  # one spine profile: one right height
         levels.append(levels[-1].right)
         levels2.append(levels2[-1].right)

@@ -122,6 +122,13 @@ def test_delta_ceiling_bounds_only_the_word(capsys):
     assert json.loads(capsys.readouterr().out) == {"ok": True, "result": "e"}
 
 
+def test_decide_refutes_at_budget_zero(capsys):
+    # the bottom factors x1 and (x1 x1) have right heights 0 and 1, so the
+    # pair is refuted before any redressing step
+    assert main(["--json", "--budget", "0", "decide", "(x1 x1)", "((x1 x1) x1)"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "result": False}
+
+
 def test_errors_in_text_go_to_stderr(capsys):
     assert main(["decide", "(x1", "x1"]) == 2
     out, err = capsys.readouterr()

@@ -35,6 +35,7 @@ from cdcalc import (
     redress,
     render_term,
     right_comb,
+    right_height,
     same_spine,
     shift,
     spine_profile,
@@ -147,18 +148,83 @@ def _outcome(decision, t, t2, budget):
         return str(exc)
 
 
+def _bottom_path(t):
+    # the right heights of t, of its bottom factor s (the lowest node on its
+    # right spine is s*x), of that factor's bottom factor, ... down to a leaf
+    heights = []
+    while type(t) is Node:
+        h = right_height(t)
+        heights.append(h)
+        t = subterm(t, "1" * (h - 1) + "0")
+    return tuple(heights)
+
+
+def _path_refutes(t, t2):
+    # decide's second check: one spine profile, two bottom paths
+    return same_spine(t, t2) and _bottom_path(project(t)) != _bottom_path(project(t2))
+
+
 def test_decide_matches_the_letter_path_reference():
     # decide keeps each level's fraction as address lists; the reference
-    # redresses and classifies words of letters through the public functions
+    # redresses and classifies words of letters through the public functions,
+    # and has no bottom-path check: where that check refutes, the reference
+    # may run out of budget first, but never says "yes"
     terms = one_var_upto(6) + labeled_upto(3, 2)
     outcomes = set()
     for budget in (None, 5):
         for t in terms:
             for t2 in terms:
                 outcome = _outcome(decide, t, t2, budget)
-                assert outcome == _outcome(reference_decide, t, t2, budget), (t, t2, budget)
+                reference = _outcome(reference_decide, t, t2, budget)
+                if _path_refutes(t, t2):
+                    assert outcome is False and reference is not True, (t, t2, budget)
+                else:
+                    assert outcome == reference, (t, t2, budget)
                 outcomes.add(outcome if type(outcome) is bool else "budget")
     assert outcomes == {True, False, "budget"}
+
+
+def test_the_bottom_path_refutes_only_inequivalent_pairs():
+    terms = one_var_upto(7)
+    refuted = 0
+    for t in terms:
+        for t2 in terms:
+            if same_spine(t, t2) and _bottom_path(t) != _bottom_path(t2):
+                assert reference_decide(t, t2) is False, (t, t2)
+                refuted += 1
+    assert refuted == 8620
+
+
+def test_signed_walks_keep_the_bottom_path():
+    # no letter applies at the lowest spine node s*x, one on the spine above
+    # it keeps s*x literally, and any other that reaches s*x acts inside s
+    rng = random.Random(28)
+    steps = 0
+    for _ in range(150):
+        t = random_term(rng, rng.randint(4, 16), 1)
+        path = _bottom_path(t)
+        for _ in range(rng.randint(1, 8)):
+            t = _signed_walk(rng, t, 1)
+            assert _bottom_path(t) == path
+            steps += 1
+    assert steps > 500
+
+
+def test_the_bottom_path_refutes_before_any_redressing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("redressing began on a pair whose bottom paths differ")
+
+    monkeypatch.setattr(sys.modules["cdcalc.decide"], "_reverse", refuse)
+    monkeypatch.setattr(sys.modules["cdcalc.decide"], "_difference", refuse)
+    # bottom factors x1 and (x1 x1)
+    assert decide(x * x, (x * x) * x) is False
+    # one spine profile, and the projections are the pair above
+    assert decide(parse_term("(x1 x2)"), parse_term("((x1 x1) x2)")) is False
+    # a left comb has right height 1 at every step of its bottom path
+    comb = x
+    for _ in range(40):
+        comb = comb * x
+    assert decide(comb, comb * x) is False
 
 
 def test_decide_one_variable_examples():
@@ -341,7 +407,8 @@ def test_a_budget_error_names_the_spine_level():
 
 
 def test_each_level_redresses_its_blueprint_difference(monkeypatch):
-    # from the deepest level that differs up, level k hands redress
+    # a pair whose bottom paths differ is refuted before any level; on the
+    # others, from the deepest level that differs up, level k hands redress
     # chi(q_k)^-1.chi(q2_k) as `reference_chi` builds it, until a level
     # refutes or the top passes
     calls = []
@@ -352,12 +419,17 @@ def test_each_level_redresses_its_blueprint_difference(monkeypatch):
 
     monkeypatch.setattr(sys.modules["cdcalc.decide"], "_reverse", recording)
     rng = random.Random(43)
-    pairs = [(t, t2) for t in one_var_upto(6) for t2 in one_var_upto(6)]
+    pairs = [(t, t2) for t in one_var_upto(7) for t2 in one_var_upto(7)]
     pairs += [(random_term(rng, n, 1), random_term(rng, n, 1))
               for n in (8, 12, 16) for _ in range(40)]
     seen = 0
     for t, t2 in pairs:
         if not same_spine(t, t2):
+            continue
+        calls.clear()
+        verdict = decide(t, t2)
+        if _bottom_path(t) != _bottom_path(t2):
+            assert calls == [] and verdict is False
             continue
         levels, levels2 = [t], [t2]
         while type(levels[-1]) is Node:
@@ -365,8 +437,6 @@ def test_each_level_redresses_its_blueprint_difference(monkeypatch):
             levels2.append(levels2[-1].right)
         expected = [inverse(reference_chi(q)) + reference_chi(q2)
                     for q, q2 in zip(levels, levels2) if q != q2][::-1]
-        calls.clear()
-        verdict = decide(t, t2)
         assert calls == expected[:len(calls)]
         assert len(calls) == len(expected) or not verdict
         seen += len(calls)
@@ -438,7 +508,10 @@ def test_budget_errors_report_the_same_progress():
 
 def test_a_deep_left_comb_decides_in_linear_memory():
     # a 100,000-leaf left comb: its blueprint is 99,999 root letters, and
-    # every prefix of it stays unbuilt, so 512 MiB of address space suffice
+    # every prefix of it stays unbuilt, so 512 MiB of address space suffice.
+    # t and t*x differ on the bottom path and are refuted unredressed; the
+    # second pair is one rewrite apart, so its 200,005-letter difference is
+    # redressed and the certificate built
     code = (
         "from cdcalc import Leaf, Node, chi, decide\n"
         "x = Leaf(1)\n"
@@ -446,6 +519,7 @@ def test_a_deep_left_comb_decides_in_linear_memory():
         "for _ in range(99_999):\n"
         "    t = Node(t, x)\n"
         "assert decide(t, Node(t, x)) is False\n"
+        "assert decide(Node(t, x * x), Node(Node(t, x), x * x)) is True\n"
         "assert len(chi(t)) == 99_999\n"
     )
     ceiling = 512 * 2**20
