@@ -9,9 +9,11 @@ elements into P_minus / P_zero / P_plus; the blueprint difference of two
 one-variable terms lies in P_zero exactly when they are equivalent.
 
 `decide` answers every term-equivalence question along one pipeline: a
-right-spine reject, in O(h) on one-variable pairs of right height h and in
-O(n) on others; a bottom-path reject on the one-variable projections, in
-O(length of the bottom path); then one sweep up the right spine of the
+right-spine reject, in O(1) on one-variable pairs, which compares the
+right heights and `max_var` stored in each term, and in O(n) on others,
+after the same O(1) height comparison; a bottom-path reject on the
+one-variable projections, at one comparison of stored right heights per
+step of the bottom path; then one sweep up the right spine of the
 projections, from the deepest level that differs to the top, which refutes
 at the first level whose blueprint difference is not in P_zero, and one
 literal comparison of the expansions the top level's fraction builds.
@@ -78,9 +80,10 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     and the deeper ones are untouched.  A letter at 1^k rewrites level k
     itself and keeps its right subterm s1*s2, so the right height and the
     deeper levels are untouched too.  A mismatch therefore means "not
-    equivalent".  The check costs O(h) for right height h on one-variable
-    pairs, whose profiles follow from the right heights and `max_var`, and
-    O(n) otherwise, instead of a redressing.
+    equivalent".  The check costs O(1) on one-variable pairs, whose profiles
+    follow from the right heights and `max_var` that every term stores, and
+    O(n) otherwise, after the same O(1) comparison of the right heights,
+    instead of a redressing.
 
     Then refute on the bottom path of the one-variable projections.  The
     lowest node on a term's right spine is s*x, with x a leaf; s is the
@@ -91,10 +94,11 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     (s0*s1)*(s1*s2) or back, and keeps s1*s2, so s*x, literally.  Any other
     letter that reaches s*x acts inside s.  So equivalent terms have
     equivalent bottom factors, and by recursion the same right height at
-    every step of the bottom path.  Both paths are walked in lockstep, and
-    the first right height that differs means "not equivalent".  The walk
-    costs O(length of the path) and runs before any blueprint difference
-    is built.
+    every step of the bottom path.  Both paths are walked in lockstep, at
+    one comparison of the stored right heights per step: the first that
+    differs means "not equivalent", and only where they agree does the walk
+    go down the two right spines to the next bottom factors.  It runs
+    before any blueprint difference is built.
 
     Otherwise sweep the iterated right subterms q_k, q2_k of the
     projections (level 0 is the term, level h its rightmost leaf) from the
@@ -133,15 +137,12 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
         return False
     q, q2 = project(t), project(t2)
     a, b = q, q2
-    while type(a) is Node and type(b) is Node:  # the bottom paths, in lockstep
-        if type(a.right) is Node:
+    while type(a) is Node:  # the bottom paths, in lockstep, at one right height
+        while type(a.right) is Node:
             a, b = a.right, b.right
-        elif type(b.right) is Node:
+        a, b = a.left, b.left
+        if a.right_height != b.right_height:
             return False
-        else:
-            a, b = a.left, b.left
-    if type(a) is not type(b):
-        return False
     levels, levels2 = [q], [q2]
     while type(levels[-1]) is Node:  # one spine profile: one right height
         levels.append(levels[-1].right)

@@ -9,11 +9,13 @@ which extends its caller's binding store in place.  Traversals are
 iterative, and derived values such as skeletons are flat strings, so very
 deep terms (left combs of ~10^6 leaves) never recurse, in Python or in C.
 
-Every term carries two values set at construction: `size`, its number of
-leaves, and `max_var`, its largest variable index, so `t.max_var == 1`
-tells a one-variable term in O(1).  `parse_term` builds each distinct
-subterm of its input once: equal subterms of one parse are one object,
-which identity checks and memos keyed on terms then hit at once.
+Every term carries three values set at construction: `size`, its number
+of leaves, `max_var`, its largest variable index, so `t.max_var == 1`
+tells a one-variable term in O(1), and `right_height`, the length of its
+rightmost branch, so two right heights compare in O(1).  `parse_term`
+builds each distinct subterm of its input once: equal subterms of one
+parse are one object, which identity checks and memos keyed on terms then
+hit at once.
 """
 
 from string import whitespace
@@ -60,9 +62,11 @@ class Term:
 
 class Leaf(Term):
     """A variable occurrence; `index` >= 1 names the variable x_index, and
-    is also the leaf's `max_var`."""
+    is also the leaf's `max_var`.  Every leaf has right height 0, a class
+    attribute rather than a slot, so a leaf stays 64 bytes."""
 
     __slots__ = ("index", "size", "max_var", "_hash")
+    right_height = 0
 
     def __init__(self, index):
         if not isinstance(index, int) or isinstance(index, bool) or index < 1:
@@ -73,10 +77,10 @@ class Leaf(Term):
 
 
 class Node(Term):
-    """The product left*right; `size` counts its leaves and `max_var` is
-    the larger of its children's."""
+    """The product left*right; `size` counts its leaves, `max_var` is the
+    larger of its children's and `right_height` is one more than right's."""
 
-    __slots__ = ("left", "right", "size", "max_var", "_hash")
+    __slots__ = ("left", "right", "size", "max_var", "right_height", "_hash")
 
     def __init__(self, left, right):
         self.left = left
@@ -84,6 +88,7 @@ class Node(Term):
         self.size = left.size + right.size
         a, b = left.max_var, right.max_var
         self.max_var = a if a > b else b
+        self.right_height = right.right_height + 1
         self._hash = hash((True, left._hash, right._hash))
 
 
@@ -91,12 +96,9 @@ X = Leaf(1)  # the variable x in one-variable contexts
 
 
 def right_height(t: Term) -> int:
-    """Length of the rightmost branch: 0 on a leaf, ht_r(t1) + 1 on t0*t1."""
-    h = 0
-    while type(t) is Node:
-        t = t.right
-        h += 1
-    return h
+    """Length of the rightmost branch: 0 on a leaf, ht_r(t1) + 1 on t0*t1;
+    the value stored at construction."""
+    return t.right_height
 
 
 def subterm(t: Term, address: str):
@@ -185,20 +187,20 @@ def spine_profile(t: Term) -> tuple:
 
 
 def same_spine(t: Term, t2: Term) -> bool:
-    """Whether t and t2 have one spine profile.  Walks both right spines
-    once in lockstep to compare the right heights and the rightmost
-    variables.  When those agree and either term has one variable, the
-    answer is whether both do: a one-variable profile is (1,) at every
-    level, and any other has two variables at level 0.  Only then are the
-    profiles built."""
-    a, b = t, t2
-    while type(a) is Node and type(b) is Node:
-        a, b = a.right, b.right
-    if type(a) is not type(b) or a.index != b.index:
+    """Whether t and t2 have one spine profile.  First the stored right
+    heights are compared.  When they agree and either term has one
+    variable, the answer is whether both do, in O(1): a one-variable profile
+    is (1,) at every level, and any other has two variables at level 0.
+    Otherwise both right spines are walked once in lockstep to compare the
+    rightmost variables, and only when those agree are the profiles built."""
+    if t.right_height != t2.right_height:
         return False
     if t.max_var == 1 or t2.max_var == 1:
         return t.max_var == t2.max_var
-    return spine_profile(t) == spine_profile(t2)
+    a, b = t, t2
+    while type(a) is Node:
+        a, b = a.right, b.right
+    return a.index == b.index and spine_profile(t) == spine_profile(t2)
 
 
 def skeleton(t: Term) -> str:

@@ -5,12 +5,15 @@ from hypothesis import given, strategies as st
 
 from cdcalc import (
     Leaf,
+    Letter,
     Node,
     ParseError,
     apply_word,
     canonicalize,
+    expansions,
     parse_term,
     partial,
+    partial_iter,
     project,
     render_term,
     replace,
@@ -19,6 +22,7 @@ from cdcalc import (
     skeleton,
     substitute,
     subterm,
+    trace,
     variables,
 )
 from cdcalc.cli import main
@@ -145,6 +149,53 @@ def test_max_var_is_the_largest_variable(t, t2, address, w):
         outputs.append(image)
     for out in outputs:
         _assert_max_var(out)
+
+
+def _walked_right_height(t):
+    h = 0
+    while type(t) is Node:
+        t, h = t.right, h + 1
+    return h
+
+
+def _rewrites(t):
+    """Every one-letter rewrite of t and its undoing, so letters of both signs."""
+    for addr, _ in expansions(t):
+        yield (Letter(addr, 1),)
+        yield (Letter(addr, 1), Letter(addr, -1))
+
+
+RIGHT_HEIGHT_BUILDERS = {
+    "parse_term": lambda t: [parse_term(render_term(t))],
+    "mul": lambda t: [t * t, t * x2, x3 * t],
+    "apply_word": lambda t: [apply_word(t, w) for w in _rewrites(t)],
+    "substitute": lambda t: [substitute(t, {1: x2 * x3, 2: Leaf(5)}), project(t), canonicalize(t)],
+    "partial_iter": lambda t: [partial_iter(t, 2)],
+    "expansions": lambda t: [e for _, e in expansions(t)],
+    "trace": lambda t: [s for w in _rewrites(t) for s in trace(w)],
+    "right_comb": lambda t: [right_comb(t.size)],
+}
+
+
+@pytest.mark.parametrize("build", RIGHT_HEIGHT_BUILDERS.values(), ids=RIGHT_HEIGHT_BUILDERS)
+def test_stored_right_height_is_the_walked_one(build):
+    for t in one_var_upto(6) + labeled_upto(3, 2):
+        for out in build(t):
+            for s in _subterms(out):
+                assert s.right_height == right_height(s) == _walked_right_height(s)
+
+
+def test_stored_right_height_on_deep_combs():
+    deep = right_comb(100_000)
+    assert deep.right_height == _walked_right_height(deep) == 99_999
+    left = x1
+    for _ in range(99_999):
+        left = Node(left, x1)
+    assert left.size == 100_000 and left.right_height == 1
+    while type(left) is Node:
+        assert left.right_height == _walked_right_height(left) == 1
+        left = left.left
+    assert left.right_height == 0
 
 
 @pytest.mark.parametrize("bad", [0, -1, True, False, 1.0, "1"])
