@@ -46,7 +46,6 @@ from .words import (
     Letter,
     Word,
     inverse,
-    is_positive,
     parse_word,
     pos_word,
     positive_addresses,

@@ -21,12 +21,11 @@ Neither reject builds or redresses a blueprint difference.
 """
 
 import enum
-from typing import Optional
 
 from .action import apply_word
 from .blueprint import _difference
 from .errors import StepBudgetExceeded
-from .redress import _reverse
+from .redress import DEFAULT_BUDGET, _reverse
 from .terms import Node, Term, project, right_comb, same_spine
 from .words import Word, pos_word, positive_addresses
 
@@ -58,7 +57,7 @@ class Classification(enum.Enum):
     P_PLUS = "P_plus"
 
 
-def classify(w: Word, budget: Optional[int] = None) -> Classification:
+def classify(w: Word, budget: int = DEFAULT_BUDGET) -> Classification:
     """Compare dil(1, -) of the denominator and numerator of w's fraction,
     read off the address lists that `_reverse` returns."""
     num, den = _reverse(w, budget)
@@ -68,7 +67,7 @@ def classify(w: Word, budget: Optional[int] = None) -> Classification:
     return Classification.P_PLUS if d < n else Classification.P_MINUS
 
 
-def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
+def decide(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
     """Equivalence of arbitrary terms.
 
     First refute on the right spine: the first-occurrence variable sequence
@@ -124,7 +123,7 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
     level's redressing; a budget error names the level and how many
     redressed levels below it were found in P_zero.
 
-    When every level passes, extend both terms by a tall right comb, apply
+    When every level passes, extend both terms by one tall right comb, apply
     the top level's fraction numerator on one side and denominator on the
     other (the blueprint acts on comb-extended terms, so both applications
     are defined, and definedness of positive words only depends on the
@@ -160,9 +159,9 @@ def decide(t: Term, t2: Term, budget: Optional[int] = None) -> bool:
                 f"found P_zero") from exc
         if _dil(1, num) != _dil(1, den):
             return False
-    p = max(t.size, t2.size)
-    a = apply_word(Node(t, right_comb(p)), pos_word(num))
-    b = apply_word(Node(t2, right_comb(p)), pos_word(den))
+    comb = right_comb(max(t.size, t2.size))
+    a = apply_word(Node(t, comb), pos_word(num))
+    b = apply_word(Node(t2, comb), pos_word(den))
     assert a is not None and b is not None, "fraction must apply to the comb-extended terms"
     return a == b
 
@@ -173,7 +172,7 @@ class Comparison(enum.Enum):
     GREATER = "Greater"
 
 
-def compare(t: Term, t2: Term, budget: Optional[int] = None) -> Comparison:
+def compare(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> Comparison:
     """Trichotomy of one-variable terms under iterated left division:
     LESS means t is a proper iterated left divisor of t2.  The blueprint
     difference chi(t)^-1.chi(t2) is emitted letter by letter into one list

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 from .action import Verdict
 from .blueprint import chi, star
 from .decide import _dil, decide
-from .redress import _reverse
+from .redress import DEFAULT_BUDGET, _reverse
 from .terms import Node, Term
 from .words import Word, inverse
 
@@ -60,7 +60,7 @@ def coset_eq(a: Coset, b: Coset) -> Verdict:
             reduced.pop()
         else:
             reduced.append((addr, sign))
-    num, den = _reverse(reduced, None)
+    num, den = _reverse(reduced, DEFAULT_BUDGET)
     if all(addr.startswith("0") for addr in num + den):
         return Verdict.EQUIVALENT
     if _dil(1, num) != _dil(1, den):

@@ -13,11 +13,9 @@ callers bound the iteration count, and a configurable size ceiling turns
 runaway growth into a SizeLimitExceeded error instead of a hang.
 """
 
-from typing import Optional
-
 from .action import apply_word
 from .errors import SizeLimitExceeded
-from .redress import complement
+from .redress import DEFAULT_BUDGET, complement
 from .terms import Node, Term, render_term
 from .words import Word, _letter, positive_addresses, render_word
 
@@ -146,7 +144,7 @@ def delta_transport(t: Term, u: Word) -> Word:
     return complement(delta(t), u + delta(t2))
 
 
-def lcm(u: Word, v: Word, budget: Optional[int] = None) -> Word:
+def lcm(u: Word, v: Word, budget: int = DEFAULT_BUDGET) -> Word:
     """The right lcm u.(u\\v), from one reversal of u^-1.v, which `budget`
     bounds.  It equals v.(v\\u) by the reversal grid; the tests check that."""
     return u + complement(u, v, budget=budget)

@@ -24,7 +24,7 @@ numerator's letters, and `pos_equiv` builds none.  Callers that only read
 addresses, such as the P_zero test of `decide`, call the core directly.
 """
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import StepBudgetExceeded
 from .words import Word, inverse, pos_word, positive_addresses, render_word
@@ -67,23 +67,23 @@ class Fraction(NamedTuple):
         return f"{render_word(self.num)} | {render_word(self.den)}"
 
 
-def redress(w: Word, budget: Optional[int] = None) -> Fraction:
+def redress(w: Word, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Redress w to its unique fraction form, leftmost eligible factor first.
 
     Termination is guaranteed, not speed: blueprint differences of random
-    32-leaf terms can need 10**6 to 10**7 steps; past `budget` (default
-    10**6), StepBudgetExceeded is raised.  `_reverse` does the work, on
-    addresses; this builds the letters of both words.
+    32-leaf terms can need 10**6 to 10**7 steps; past `budget` steps, an int
+    (DEFAULT_BUDGET = 10**6), StepBudgetExceeded is raised.  `_reverse` does
+    the work, on addresses; this builds the letters of both words.
     """
     num, den = _reverse(w, budget)
     return Fraction(pos_word(num), pos_word(den))
 
 
-def _reverse(w: Word, budget: Optional[int]):
+def _reverse(w: Word, budget: int):
     """The reversal core of `redress`: the numerator and the denominator of
     w's fraction as lists of addresses, the denominator in its own order.
     w may be a word or any sequence of (address, sign) pairs; `budget` is
-    `redress`'s.
+    the int step bound of `redress`, which every caller passes.
 
     The word is held as addresses in a gap buffer: `left`, the letters
     before the gap, positives in left[:npos] and then negatives; `right`,
@@ -105,8 +105,6 @@ def _reverse(w: Word, budget: Optional[int]):
     only after a step passed it or a cell wrote it, and back at most once
     for that: O(1) amortised work per step.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
     left, right, pending = [], [], []
     npos = steps = read = 0
     while True:
@@ -173,7 +171,7 @@ def _reverse(w: Word, budget: Optional[int]):
     return left[:npos], left[npos:][::-1]
 
 
-def complement(u: Word, v: Word, budget: Optional[int] = None) -> Word:
+def complement(u: Word, v: Word, budget: int = DEFAULT_BUDGET) -> Word:
     """The positive complement u\\v: the numerator of redressing u^-1.v.
     Total on positive words."""
     positive_addresses(u)
@@ -181,7 +179,7 @@ def complement(u: Word, v: Word, budget: Optional[int] = None) -> Word:
     return pos_word(_reverse(inverse(u) + v, budget)[0])
 
 
-def pos_equiv(u: Word, v: Word, budget: Optional[int] = None) -> bool:
+def pos_equiv(u: Word, v: Word, budget: int = DEFAULT_BUDGET) -> bool:
     """Decide equivalence of positive words with one reversal: u^-1.v must
     redress to the empty fraction, so that both complements vanish."""
     positive_addresses(u)
@@ -190,7 +188,7 @@ def pos_equiv(u: Word, v: Word, budget: Optional[int] = None) -> bool:
     return not num and not den
 
 
-def group_equiv(w: Word, w2: Word, budget: Optional[int] = None) -> bool:
+def group_equiv(w: Word, w2: Word, budget: int = DEFAULT_BUDGET) -> bool:
     """Decide equivalence of arbitrary signed words in the presented group:
     redress w^-1.w2 and compare numerator with denominator."""
     fraction = redress(inverse(w) + w2, budget=budget)

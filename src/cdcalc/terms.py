@@ -162,12 +162,11 @@ def spine_profile(t: Term) -> tuple:
     """The first-occurrence variable sequence of every iterated right
     subterm, from t itself down to its rightmost leaf.
 
-    It encodes the right height, the rightmost variable and the variable
-    order, and rewriting in either direction preserves it (see `decide`).
+    It encodes the right height, the rightmost variable (last level) and the
+    variable order; rewriting in either direction preserves it (see `decide`).
     Built bottom-up: level k is first_occurrences(left_k) followed by the
     part of level k+1 it has not seen, which costs O(n + h*v) for n leaves,
-    right height h and v variables.  Equal consecutive levels share one
-    tuple, so a one-variable profile is h+1 references to (1,).
+    right height h and v variables.
     """
     lefts = []
     while type(t) is Node:
@@ -178,9 +177,7 @@ def spine_profile(t: Term) -> tuple:
     for left in reversed(lefts):
         head = first_occurrences(left)
         seen = set(head)
-        nxt = tuple(head) + tuple(i for i in level if i not in seen)
-        if nxt != level:
-            level = nxt
+        level = tuple(head) + tuple(i for i in level if i not in seen)
         profile.append(level)
     profile.reverse()
     return tuple(profile)
@@ -191,16 +188,13 @@ def same_spine(t: Term, t2: Term) -> bool:
     heights are compared.  When they agree and either term has one
     variable, the answer is whether both do, in O(1): a one-variable profile
     is (1,) at every level, and any other has two variables at level 0.
-    Otherwise both right spines are walked once in lockstep to compare the
-    rightmost variables, and only when those agree are the profiles built."""
+    Otherwise both profiles are built and compared, in O(n + h*v); their
+    last levels are the rightmost variables."""
     if t.right_height != t2.right_height:
         return False
     if t.max_var == 1 or t2.max_var == 1:
         return t.max_var == t2.max_var
-    a, b = t, t2
-    while type(a) is Node:
-        a, b = a.right, b.right
-    return a.index == b.index and spine_profile(t) == spine_profile(t2)
+    return spine_profile(t) == spine_profile(t2)
 
 
 def skeleton(t: Term) -> str:

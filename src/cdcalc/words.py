@@ -37,13 +37,9 @@ def pos_word(addresses) -> Word:
     return tuple(map(_letter, zip(addresses, repeat(1))))
 
 
-def is_positive(w: Word) -> bool:
-    return all([l.sign > 0 for l in w])
-
-
 def positive_addresses(w: Word):
     """The address sequence of a positive word; rejects negative letters."""
-    if not is_positive(w):
+    if not all([l.sign > 0 for l in w]):
         raise ValueError(f"expected a positive word, got {render_word(w)}")
     return tuple([l.addr for l in w])
 

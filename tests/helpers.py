@@ -170,12 +170,10 @@ def unify(t1, t2):
     return {v: resolve(img, subst) for v, img in subst.items()}
 
 
-def reference_redress(w, budget=None):
+def reference_redress(w, budget=DEFAULT_BUDGET):
     """Redressing that consults the complement table f_cd at every cell,
     trivial or not: (fraction, steps), or StepBudgetExceeded past `budget`
     with the same message as `redress`."""
-    if budget is None:
-        budget = DEFAULT_BUDGET
     done, todo = [], list(reversed(w))
     steps = 0
     while todo:
@@ -195,7 +193,7 @@ def reference_redress(w, budget=None):
     return Fraction(num, inverse(done[len(num):])), steps
 
 
-def reference_decide(t, t2, budget=None):
+def reference_decide(t, t2, budget=DEFAULT_BUDGET):
     """`decide`'s level sweep on words of letters, through the public `chi`,
     `inverse`, `redress` and `dil`: each level's blueprint difference is
     redressed to a Fraction and classified by dil(1, -) of its words, and

@@ -45,7 +45,7 @@ from cdcalc import (
     variables,
 )
 from cdcalc.cli import main
-from cdcalc.redress import _reverse
+from cdcalc.redress import DEFAULT_BUDGET, _reverse
 from helpers import (
     X,
     cd_relations,
@@ -171,7 +171,7 @@ def test_decide_matches_the_letter_path_reference():
     # may run out of budget first, but never says "yes"
     terms = one_var_upto(6) + labeled_upto(3, 2)
     outcomes = set()
-    for budget in (None, 5):
+    for budget in (DEFAULT_BUDGET, 5):
         for t in terms:
             for t2 in terms:
                 outcome = _outcome(decide, t, t2, budget)
@@ -319,6 +319,22 @@ def test_spine_profile_on_deep_terms_does_not_recurse():
     profile = spine_profile(right)
     assert len(profile) == n and set(profile) == {(1,)}
     assert not same_spine(right, Node(right, X))
+    # multi-variable pairs of one right height compare whole profiles: the
+    # last level is the rightmost variable, and level 0 the top's order
+    x1, x2, x3 = Leaf(1), Leaf(2), Leaf(3)
+    deep = x3
+    for _ in range(n):
+        deep = Node(x1, deep)
+    deep2 = x2
+    for _ in range(n):
+        deep2 = Node(x1, deep2)
+    assert deep.right_height == deep2.right_height == n
+    assert not same_spine(deep, deep2)
+    assert same_spine(deep, deep)
+    top, top2 = Node(Node(x2, x3), deep), Node(Node(x3, x2), deep)
+    assert spine_profile(top)[1:] == spine_profile(top2)[1:]
+    assert spine_profile(top)[0] == (2, 3, 1) and spine_profile(top2)[0] == (3, 2, 1)
+    assert not same_spine(top, top2)
 
 
 def test_known_32_leaf_pair_is_refuted_fast(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import time
@@ -12,12 +13,16 @@ from cdcalc import (
     StepBudgetExceeded,
     apply_word,
     chi,
+    classify,
+    compare,
     complement,
+    decide,
     delta,
     expansions,
     f_cd,
     group_equiv,
     inverse,
+    lcm,
     parse_word,
     partial,
     pos_equiv,
@@ -28,6 +33,7 @@ from cdcalc import (
     trace,
 )
 from cdcalc.cli import main
+from cdcalc.redress import DEFAULT_BUDGET
 from helpers import (
     cd_relations,
     labeled_upto,
@@ -105,6 +111,12 @@ def test_redress_budget():
     assert str(err.value) == (
         "redressing stopped at its budget after 1085 steps; the word has 85 letters, "
         "the input had 1220")
+
+
+def test_every_budget_defaults_to_the_int_budget():
+    # one spelling of the default step bound: no budgeted function takes None
+    for fn in (redress, complement, pos_equiv, group_equiv, classify, decide, compare, lcm):
+        assert inspect.signature(fn).parameters["budget"].default == DEFAULT_BUDGET, fn
 
 
 def assert_matches_reference(w):

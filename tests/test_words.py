@@ -8,7 +8,6 @@ from cdcalc import (
     complement,
     delta,
     inverse,
-    is_positive,
     parse_word,
     pos_word,
     positive_addresses,
@@ -80,7 +79,6 @@ def test_shift_preserves_length_and_signs(w):
 
 def test_positive_helpers():
     w = pos_word(["", "01"])
-    assert is_positive(w)
     assert positive_addresses(w) == ("", "01")
     with pytest.raises(ValueError):
         positive_addresses((Letter("1", -1),))
