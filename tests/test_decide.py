@@ -322,12 +322,9 @@ def test_spine_profile_on_deep_terms_does_not_recurse():
     # multi-variable pairs of one right height compare whole profiles: the
     # last level is the rightmost variable, and level 0 the top's order
     x1, x2, x3 = Leaf(1), Leaf(2), Leaf(3)
-    deep = x3
+    deep, deep2 = x3, x2
     for _ in range(n):
-        deep = Node(x1, deep)
-    deep2 = x2
-    for _ in range(n):
-        deep2 = Node(x1, deep2)
+        deep, deep2 = Node(x1, deep), Node(x1, deep2)
     assert deep.right_height == deep2.right_height == n
     assert not same_spine(deep, deep2)
     assert same_spine(deep, deep)
