@@ -11,13 +11,51 @@ product of the partials of smaller terms, without spelling out delta(t) or
 applying it.  Outputs of iterated partial grow as towers of exponentials;
 callers bound the iteration count, and a configurable size ceiling turns
 runaway growth into a SizeLimitExceeded error instead of a hang.
+
+The delta-transport of a word u, a positive u2 with
+u.delta((t)u) == delta(t).u2, is read off t's spreads too, with no delta
+built and no word reversed.  Its argument (at delta_transport) rests on two
+lemmas, proved here from the relations of the monoid, where == is
+equivalence of positive words:
+
+    0a.e == e.00a    10a.e == e.01a.10a    11a.e == e.11a    1.e.0 == e.1.e
+
+each also under any prefix, and letters at orthogonal addresses commute.
+Letter by letter, 0w.e == e.00w and 10w.e == e.01w.10w for a word w.  Write
+phi_r = 1^(r-1) ... 1.e, r letters, so that phi_r = 1phi_(r-1).e and delta(t)
+begins with phi_(h-1); and Z(n) = e.0.00 ... 0^(n-2), n-1 letters, so that
+Z(n) = e.0Z(n-1).
+
+Crossing.  For q < r, 1^q 0u.phi_r == phi_r.P, where P holds the copies
+1^j 0 1^(q-j) 0u for j <= q.  For q = r, the same holds with the copies
+1^j 0 1^(r-j) u for j < r and 1^r 0u.  For p <= r-2, 1^p.phi_r == phi_r.P with
+the copies 1^j 0 1^(p-j) for j <= p.  The copies commute, so their order is
+free.  By induction on q (on p): at q = 0, 0u commutes with 1phi_(r-1) and
+0u.e == e.00u; at p = 0, e.11phi_(r-2).1.e == 11phi_(r-2).1.e.0 by 11a.e ==
+e.11a and the triangle 1.e.0 == e.1.e.  Above that, the letter is 1
+followed by the letter for q-1 (p-1), so it crosses 1phi_(r-1) by
+induction, and then each copy crosses the final e by one relation: the
+copy 10a becomes 01a.10a, and the others are 11a.
+
+Product.  delta(u*v) == 0delta(u).1delta(v).Z(size v), by induction on
+size(v).  For a leaf v, delta(u*x) = 0delta(u).  Otherwise let v have right
+height g, so delta(v) = phi_(g-1).P, and let v' be its first spread, v less
+its rightmost leaf.  The spreads of u*v are u*v' and those of v, so
+delta(u*v) = phi_g.0delta(u*v').1P.  By induction, with n = size(v),
+0delta(u*v') == 00delta(u).01delta(v').0Z(n-1), and e.00delta(u) ==
+0delta(u).e.  On the other side 1P.e == e.01delta(v').1P, since the block
+10delta(v') of 1P crosses e by 10w.e == e.01w.10w and the others are under 11.
+So both sides equal 1phi_(g-1).0delta(u).e.01delta(v').0Z(n-1).1P.
+
+The tests check both lemmas, and every case of the transport, with
+pos_equiv.
 """
 
-from .action import apply_word
+from .action import apply_letter, apply_word
 from .errors import SizeLimitExceeded
 from .redress import DEFAULT_BUDGET, complement
 from .terms import Node, Term, render_term
-from .words import Word, _letter, positive_addresses, render_word
+from .words import Word, _letter, pos_word, positive_addresses, render_word
 
 DEFAULT_MAX_SIZE = 10**6
 
@@ -132,16 +170,132 @@ def partial_iter(t: Term, n: int, max_size: int = DEFAULT_MAX_SIZE) -> Term:
 
 
 def delta_transport(t: Term, u: Word) -> Word:
-    """A positive u2 with u.delta((t)u) equivalent to delta(t).u2, given
-    that u applies to t: the complement delta(t)\\(u.delta((t)u)), from one
-    reversal.  delta(t) left-divides u.delta((t)u), so by the reversal grid
-    the equivalence holds; the tests check it.  Both deltas run under
-    delta's default ceiling of 10^6 letters."""
-    positive_addresses(u)
-    t2 = apply_word(t, u)
-    if t2 is None:
+    """A positive u2 with u.delta((t)u) == delta(t).u2, given that u applies
+    to t: u2 = T(t, u_1).T((t)u_1, u_2)..., where T(t, a) is the word with
+    delta(t).T == a.delta((t)a) for one letter a.
+
+    With t = l_0*(l_1*(...(l_{h-1}*x))), its spreads s_j and phi = phi_(h-1)
+    as in delta, so that delta(t) = phi.(1^j 0 delta(s_j) for j < h):
+      (a) a = 1^k 0b, inside l_k: T = (1^j 0 T(s_j, a_j) for j <= k), where
+          a_j is the address of l_k in s_j, then b: 1^(k-j) 0b for k < h-1,
+          and 1^(k-j) b for k = h-1.
+      (b) a = 1^k with k <= h-3: T = (1^j 0 T(s_j, 1^(k-j)) for j <= k).
+      (c) a = 1^(h-2): T = phi.(1^j 0 F_j for j <= h-2), with F_(h-2) = Z(n),
+          F_j = 1F_(j+1).Z(n) and n = size(l_{h-1}); T = phi for n = 1.
+    Blocks under different 1^j 0 commute, so their order is free.  In (a),
+    s_k = l_k*s_(k+1) for k < h-1, and unrolling (a) at k = 0 gives the
+    block j = k as 1^k 0 0^m T(l_k, b), m = size(s_(k+1)).
+
+    Proved by induction on size(t), with the lemmas of the module
+    docstring; nothing here is only tested.
+      (a) (t)a has the spreads (s_j)a_j for j <= k and s_j after.  So by
+          Crossing (q = k) and induction on the smaller s_j,
+          a.delta((t)a) == phi.(1^j 0 a_j.delta((s_j)a_j)).(the rest)
+          == phi.(1^j 0 delta(s_j).T(s_j, a_j)).(the rest) == delta(t).T.
+      (b) The same, with Crossing (p = k) and the spreads (s_j)1^(k-j) of
+          (t)1^k for j <= k; l_(k+2) exists, since k <= h-3.
+      (c) For h = 2, t = a'*(b'*x) and (t)e = (a'*b')*(b'*x).  Product on
+          (a'*b')*b', 0w.e == e.00w and 10w.e == e.01w.10w turn both
+          e.delta((t)e) and delta(t).e.0Z(n) into
+          e.e.00delta(a'*b').01delta(b').0Z(n).10delta(b').
+          For h >= 3, t = l_0*r and a = 1c, where c = 1^(h-3) is case (c)
+          for r.  Product on t and on (t)a = l_0*(r)c, and induction on r,
+          leave Z(m).T == 1T(r, c).Z(m+n), m = size(r).  Here
+          T = 1phi_(h-2).e.0F_0.Q and 1T(r, c) = 1phi_(h-2).Q, with Q the
+          blocks j >= 1.  Since Q.e == e.01F_1.Q, Z(m).phi == phi.0Z(m)
+          (Crossing) and F_0 = 1F_1.Z(n), what is left is
+          Z(m).1F_1.Z(n) == 1F_1.Z(m+n-1).  It is trivial for m = 1.  For
+          m >= 3 it follows from m-1, as Z(m) = Z(m-1).0^(m-2), 0^(m-2)
+          commutes with 1F_1, and 0^(m-2).Z(n) == Z(n).0^(m+n-3) by
+          0a.e == e.00a under each 0^i.  For m = 2, 11a.e == e.11a leaves
+          e.1Z(n).Z(n) == 1Z(n).Z(n+1), by induction on n from e == e at
+          n = 1.  With Z' = Z(n-1), the left side is e.1.10Z'.e.0Z' ==
+          1.e.0.01Z'.0Z'.10Z' by 10w.e == e.01w.10w and the triangle, the
+          right side is 1.10Z'.e.0.00Z' == 1.e.01Z'.0.00Z'.10Z', and the
+          middles are the case n-1 under 0.
+
+    Each step emits its letters at their final addresses, from a stack of
+    spreads with no recursion.  A step with one child copies nothing, so a
+    chain of them down a 10^5-leaf comb costs O(size).  The word can be exponential in t's size
+    (C(14, 7) = 3432 letters for the middle letter of right_comb(16)), so
+    SizeLimitExceeded is raised, with the progress made, before it would
+    pass DEFAULT_MAX_SIZE letters.
+    """
+    addrs = positive_addresses(u)
+    if apply_word(t, u) is None:
         raise ValueError(f"word {render_word(u)} does not apply to {render_term(t)}")
-    return complement(delta(t), u + delta(t2))
+    out = []
+    for n, alpha in enumerate(addrs):
+        if not _transport(t, alpha, out):
+            raise SizeLimitExceeded(
+                f"delta_transport grew past {DEFAULT_MAX_SIZE} letters on letter {n + 1} of "
+                f"{len(addrs)}: {len(out)} letters built")
+        t = apply_letter(t, _letter((alpha, 1)))
+    return pos_word(out)
+
+
+def _transport(t: Term, alpha: str, out: list) -> bool:
+    """Append the addresses of T(t, alpha) to `out`, for a letter alpha that
+    applies to t; False, with `out` left short, where it would pass
+    DEFAULT_MAX_SIZE addresses."""
+    # A task is T of the right-nested product of `spine` for the letter
+    # alpha[p:], emitted under prefix.0^zeros.  Its list is its own and is
+    # extended in place into its right spine, so the step that continues
+    # with the task's one remaining block copies nothing; the other blocks
+    # are pushed with copies.  Blocks under different prefixes commute, so
+    # the tasks may run in any order.
+    todo = [([t], alpha, 0, "")]
+    while todo:
+        spine, alpha, p, prefix = todo.pop()
+        zeros = 0
+        while True:
+            cur = spine.pop()
+            while type(cur) is Node:
+                spine.append(cur.left)
+                cur = cur.right
+            h = len(spine)
+            z = alpha.find("0", p)
+            k = (len(alpha) if z < 0 else z) - p
+            if z >= 0:
+                # (a) alpha = 1^k 0 beta: the blocks 1^j 0 for j < k, then
+                # 1^k 0 0^size(s_{k+1}) T(l_k, beta), walked here
+                if k:
+                    prefix += "0" * zeros
+                    tail = alpha[z:] if k < h - 1 else alpha[z + 1:]
+                    todo.extend([(spine[j:], "1" * (k - j) + tail, 0, prefix + "1" * j + "0")
+                                 for j in range(k)])
+                    prefix += "1" * k + "0"
+                    zeros = 0
+                else:
+                    zeros += 1
+                zeros += sum([f.size for f in spine[k + 1:]])
+                spine, p = [spine[k]], z + 1
+            elif k < h - 2:
+                # (b) alpha = 1^k: the blocks 1^j 0 for 0 < j <= k, then the
+                # block 0 T(s_0, 1^k), walked here; s_0 is all of spine
+                if k:
+                    prefix += "0" * zeros
+                    zeros = 0
+                    todo.extend([(spine[j:], alpha, p + j, prefix + "1" * j + "0")
+                                 for j in range(1, k + 1)])
+                zeros += 1
+            else:
+                # (c) alpha = 1^(h-2): phi, then F_j under 1^j 0, where
+                # F_j = 1^(h-2-j) Z ... 1Z.Z and Z = e.0...0^(n-2)
+                prefix += "0" * zeros
+                n = spine[-1].size
+                if len(out) + h - 1 + (n - 1) * h * (h - 1) // 2 > DEFAULT_MAX_SIZE:
+                    return False
+                out.extend([prefix + "1" * i for i in range(h - 2, -1, -1)])
+                if n > 1:
+                    zs = ["0" * q for q in range(n - 1)]
+                    for j in range(h - 1):
+                        block = prefix + "1" * j + "0"
+                        for i in range(h - 2 - j, -1, -1):
+                            b = block + "1" * i
+                            out.extend([b + q for q in zs])
+                break
+    return True
 
 
 def lcm(u: Word, v: Word, budget: int = DEFAULT_BUDGET) -> Word:

@@ -13,14 +13,19 @@ from cdcalc import (
     StepBudgetExceeded,
     apply_word,
     chi,
+    complement,
+    delta,
     dil,
     expansions,
     f_cd,
     first_occurrences,
     inverse,
     pos_word,
+    positive_addresses,
     project,
     redress,
+    render_term,
+    render_word,
     right_comb,
     same_spine,
     star,
@@ -269,6 +274,17 @@ def reference_delta(t, max_size=None):
         stack.extend((spreads[i], prefix + "1" * i + "0")
                      for i in range(h - 1, -1, -1) if type(spreads[i]) is Node)
     return tuple(out)
+
+
+def reference_transport(t, u):
+    """delta_transport by one reversal: the complement
+    delta(t)\\(u.delta((t)u)), with both deltas built.  `delta_transport`
+    must give a pos_equiv-equal word and the same ValueError texts."""
+    positive_addresses(u)
+    t2 = apply_word(t, u)
+    if t2 is None:
+        raise ValueError(f"word {render_word(u)} does not apply to {render_term(t)}")
+    return complement(delta(t), u + delta(t2))
 
 
 def _addresses(maxlen):

@@ -1,7 +1,13 @@
 import inspect
 import json
+import os
 import random
+import re
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +37,15 @@ from cdcalc import (
 )
 from cdcalc.cli import main
 from cdcalc.garside import DEFAULT_MAX_SIZE
-from helpers import X, is_expansion, labeled_upto, one_var_upto, random_term, reference_delta
+from helpers import (
+    X,
+    is_expansion,
+    labeled_upto,
+    one_var_upto,
+    random_term,
+    reference_delta,
+    reference_transport,
+)
 
 x = X
 
@@ -277,6 +291,123 @@ def test_delta_transport_postcondition_sweep():
             t2 = apply_word(t, u)
             u2 = delta_transport(t, u)
             assert pos_equiv(u + delta(t2), delta(t) + u2)
+
+
+def _z(n):
+    """Z(n) = e.0.00 ... 0^(n-2), of the garside module docstring."""
+    return pos_word("0" * q for q in range(n - 1))
+
+
+def test_delta_of_a_product():
+    # the Product lemma: delta(u*v) == 0delta(u).1delta(v).Z(size v)
+    terms = one_var_upto(5) + labeled_upto(3, 2)
+    for u in terms:
+        for v in terms:
+            assert pos_equiv(delta(u * v), shift("0", delta(u)) + shift("1", delta(v)) + _z(v.size))
+
+
+def test_the_last_step_of_case_c():
+    # Z(m).1F.Z(n) == 1F.Z(m+n-1) for F = 1^(k-1)Z(n) ... 1Z(n).Z(n), the
+    # identity that delta_transport's case (c) reduces to
+    for k in range(1, 4):
+        for n in range(1, 4):
+            f = ()
+            for i in range(k - 1, -1, -1):
+                f += shift("1" * i, _z(n))
+            for m in range(1, 7):
+                assert pos_equiv(_z(m) + shift("1", f) + _z(n), shift("1", f) + _z(m + n - 1))
+
+
+def _letters_of(t):
+    return [pos_word([a]) for a, _ in expansions(t)]
+
+
+def test_delta_transport_matches_the_reversal_reference():
+    # every letter of the small terms and of seeded random 6-12-leaf terms,
+    # and every two-letter word of the smaller ones and of 100 random ones
+    rng = random.Random(32)
+    randoms = [random_term(rng, rng.randint(6, 12), rng.randint(1, 3)) for _ in range(400)]
+    words = [(t, u) for t in one_var_upto(7) + labeled_upto(4, 2) + randoms for u in _letters_of(t)]
+    words += [(t, u) for t in one_var_upto(6) + labeled_upto(4, 2) + randoms[:100]
+              for u in _applicable_words(t, 2)]
+    assert len(words) > 3500
+    for t, u in words:
+        assert pos_equiv(delta_transport(t, u), reference_transport(t, u)), (
+            render_term(t), render_word(u))
+
+
+def test_delta_transport_keeps_the_reference_errors():
+    # a negative letter, a first letter that does not apply, and a second
+    # letter that does not apply after the first
+    cases = [(x * (x * x), parse_word("-1")), (x * (x * x), parse_word("e.-1")), (x, pos_word([""]))]
+    for t in one_var_upto(5) + labeled_upto(3, 2):
+        for u in _letters_of(t):
+            image = apply_word(t, u)
+            cases += [(t, u + pos_word([a])) for a in ("", "1", "0", "11")
+                      if apply_letter(image, Letter(a, 1)) is None]
+            cases.append((t, pos_word(["10"]) + u))
+    for t, u in cases:
+        if apply_word(t, u) is not None:
+            continue
+        with pytest.raises(ValueError) as want:
+            reference_transport(t, u)
+        with pytest.raises(ValueError) as got:
+            delta_transport(t, u)
+        assert str(got.value) == str(want.value)
+    assert str(got.value).endswith(f"does not apply to {render_term(t)}")
+
+
+def test_delta_transport_of_a_middle_comb_letter():
+    # the reversal of delta(t)^-1.u.delta((t)u) stopped at its step budget
+    # here; the recursion gives C(12, 6) letters, and they act as required
+    t, u = right_comb(14), pos_word(["1" * 6])
+    u2 = delta_transport(t, u)
+    assert len(u2) == 924
+    assert apply_word(t, delta(t) + u2) == apply_word(t, u + delta(apply_word(t, u)))
+    assert [len(delta_transport(right_comb(16), pos_word(["1" * k]))) for k in range(14)] == [
+        1, 14, 91, 364, 1001, 2002, 3003, 3432, 3003, 2002, 1001, 364, 91, 14]
+
+
+def test_delta_transport_size_ceiling():
+    # C(38, 19) letters: the word stops before it passes the ceiling, and
+    # the error says which letter it was on and how much it had built
+    u = pos_word(["1" * 19])
+    with pytest.raises(SizeLimitExceeded) as err:
+        delta_transport(right_comb(40), pos_word(["1"]) + u)
+    m = re.fullmatch(rf"delta_transport grew past {DEFAULT_MAX_SIZE} letters on letter 2 of 2: "
+                     r"(\d+) letters built", str(err.value))
+    assert m and 0 < int(m[1]) <= DEFAULT_MAX_SIZE, str(err.value)
+
+
+def test_delta_transport_of_deep_combs():
+    # a 10^5-leaf right comb, and a 10^5-leaf left comb over x(xx), with a
+    # letter each whose chain of spreads is 10^5 long: answered in a child
+    # under a 512 MiB address-space ceiling, with no recursion
+    code = (
+        "from cdcalc import Leaf, Node, apply_word, delta, delta_transport, pos_word, right_comb\n"
+        "x = Leaf(1)\n"
+        "n = 10**5\n"
+        "assert delta_transport(right_comb(n), pos_word([''])) == pos_word(['0' * (n - 3)])\n"
+        "t = x * (x * x)\n"
+        "for _ in range(n - 3):\n"
+        "    t = Node(t, x)\n"
+        "u = pos_word(['0' * (n - 3)])\n"
+        "u2 = delta_transport(t, u)\n"
+        "assert u2 == u\n"
+        "assert apply_word(t, delta(t) + u2) == apply_word(t, u + delta(apply_word(t, u)))\n"
+    )
+    ceiling = 512 * 2**20
+    src = str(Path(sys.modules["cdcalc"].__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (ceiling, ceiling)),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    # the same closed form on a comb small enough to check by action
+    t, u = right_comb(12), pos_word([""])
+    u2 = delta_transport(t, u)
+    assert u2 == pos_word(["0" * 9])
+    assert apply_word(t, delta(t) + u2) == apply_word(t, u + delta(apply_word(t, u)))
 
 
 def test_delta_bound():
