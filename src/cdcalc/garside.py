@@ -7,10 +7,18 @@ length n applicable to t left-divides the product of the first n deltas.
 That yields common right multiples, right lcms, and the confluence of
 expansions.  delta is read off lists of left factors down right spines,
 without building the terms it spreads.  partial is built directly, as a
-product of the partials of smaller terms, without spelling out delta(t) or
-applying it.  Outputs of iterated partial grow as towers of exponentials;
-callers bound the iteration count, and a configurable size ceiling turns
-runaway growth into a SizeLimitExceeded error instead of a hang.
+left comb of the partials of prefixes, without spelling out delta(t) or
+applying it.  With v|k the term made of v's first k leaves,
+
+    partial(u0*u1) = (...(partial(u0) * partial(u1|1)) * ...) * partial(u1),
+
+since partial(u) = partial(s0) * partial(u1) with s0 = u less its rightmost
+leaf, and for m > size(u0) that leaf's removal takes u|m to u|(m-1) and
+leaves the right factor u1|(m - size u0); induct on m.  So every node
+built is a node of the result.  Outputs of iterated partial grow as
+towers of exponentials; callers bound the iteration count, and a
+configurable size ceiling turns runaway growth into a SizeLimitExceeded
+error instead of a hang.
 
 The delta-transport of a word u, a positive u2 with
 u.delta((t)u) == delta(t).u2, is read off t's spreads too, with no delta
@@ -50,6 +58,8 @@ So both sides equal 1phi_(g-1).0delta(u).e.01delta(v').0Z(n-1).1P.
 The tests check both lemmas, and every case of the transport, with
 pos_equiv.
 """
+
+from itertools import accumulate, chain
 
 from .action import apply_letter, apply_word
 from .errors import SizeLimitExceeded
@@ -111,7 +121,7 @@ def delta(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Word:
 
 
 def partial(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Term:
-    """The expansion (t)delta(t), built from the partials of smaller terms.
+    """The expansion (t)delta(t), built as a left comb of prefix partials.
 
     With the spreads s_i and the rightmost leaf x of delta's docstring,
     partial(t) = partial(s0)*(partial(s1)*(...(partial(s_{h-1})*x)...)).
@@ -119,45 +129,68 @@ def partial(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Term:
     so each delta(s_i) rewrites its own s_i in place, in a subtree disjoint
     from the others.  For t = t0*t1 the part after partial(s0) is
     partial(t1), and s0 is t less its rightmost leaf, so
-    partial(t) = partial(s0) * partial(t1); a leaf is its own partial.  A
-    memo for the call maps each term met to its partial, so equal subterms
-    of the result are one shared object.
+    partial(t) = partial(s0) * partial(t1); a leaf is its own partial.
 
-    Raises SizeLimitExceeded exactly when size(partial t) > max_size: the
-    finished parts awaiting assembly are disjoint subtrees of the result,
-    and their total is checked whenever it grows.
+    Prefixes.  Write v|k for the term made of v's first k leaves, so that
+    (u0*u1)|m = u0|m for m <= size(u0) and u0*(u1|(m - size u0)) above.
+    Then, with n = size(u0),
+
+        partial(u0*u1) = (...((partial(u0) * partial(u1|1)) * partial(u1|2)) ...) * partial(u1),
+
+    a left comb whose right factors are the prefix partials of u1.  For
+    m > n, u|m less its rightmost leaf is u|(m-1), and its right factor is
+    u1|(m-n), so partial(u|m) = partial(u|(m-1)) * partial(u1|(m-n)) by the
+    identity above; induct on m from u|n = u0.  The prefix partials of u1
+    are its leftmost leaf, then the combs of the nodes down its left spine,
+    from the bottom up.
+
+    One postorder pass over t's distinct node objects stores each node's
+    comb, partial(u|m) for size(u0) < m <= size(u), whose last entry is
+    partial(u).  Every node built is a node of the result, each input node
+    is met once, and the result shares its objects wherever the input
+    shares its own.  Nothing recurses.
+
+    Raises SizeLimitExceeded exactly when size(partial t) > max_size: every
+    node built is a subterm of the result and the last one is the result.
+    Each comb, of at most size(t) nodes, is checked once built, and the
+    error gives the size of its first node past the ceiling.
     """
-    # memo: term u -> (partial u, s0 of u); s0 of u0*u1 is u0 * (s0 of u1),
-    # or u0 when u1 is a leaf, so each new term costs two nodes
-    memo = {}
-    done, total = [], 0  # finished partials, and their summed size
-    todo = [(0, t, None)]
-    while todo:
-        stage, u, spread = todo.pop()
-        if stage == 0:
-            if type(u) is Node:
-                hit = memo.get(u)
-                if hit is None:
-                    todo.append((1, u, None))
-                    todo.append((0, u.right, None))
-                    continue
-                u = hit[0]
-            done.append(u)
-            total += u.size
-            if total > max_size:
-                raise SizeLimitExceeded(
-                    f"partial grew past {max_size} leaves: its finished parts hold {total}")
-        elif stage == 1:
-            # partial(u1) is done: build s0 of u, then its partial
-            r = u.right
-            spread = u.left if type(r) is not Node else Node(u.left, memo[r][1])
-            todo.append((2, u, spread))
-            todo.append((0, spread, None))
+    if type(t) is not Node:
+        if t.size > max_size:
+            raise SizeLimitExceeded(
+                f"partial grew past {max_size} leaves: its finished parts hold {t.size}")
+        return t
+    combs = {}  # id(u) -> the comb of the node u
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        left, r = u.left, u.right
+        if type(r) is Node and id(r) not in combs:
+            stack.append(r)
+            continue
+        if type(left) is Node:
+            if id(left) not in combs:
+                stack.append(left)
+                continue
+            left = combs[id(left)][-1]
+        stack.pop()
+        if type(r) is Node:
+            # the prefix partials of r past its leftmost leaf: the combs
+            # down its left spine, read from the bottom up
+            spine = []
+            while type(r) is Node:
+                spine.append(combs[id(r)])
+                r = r.left
+            spine.reverse()
+            comb = list(accumulate(chain.from_iterable(spine), Node, initial=Node(left, r)))
         else:
-            p = Node(done.pop(), done.pop())
-            memo[u] = (p, spread)
-            done.append(p)
-    return done[0]
+            comb = [Node(left, r)]
+        if comb[-1].size > max_size:
+            n = next(p.size for p in comb if p.size > max_size)
+            raise SizeLimitExceeded(
+                f"partial grew past {max_size} leaves: its finished parts hold {n}")
+        combs[id(u)] = comb
+    return combs[id(t)][-1]
 
 
 def partial_iter(t: Term, n: int, max_size: int = DEFAULT_MAX_SIZE) -> Term:

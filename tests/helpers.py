@@ -31,6 +31,7 @@ from cdcalc import (
     star,
     variables,
 )
+from cdcalc.garside import DEFAULT_MAX_SIZE
 from cdcalc.redress import DEFAULT_BUDGET
 from cdcalc.terms import resolve, unify_into
 
@@ -274,6 +275,46 @@ def reference_delta(t, max_size=None):
         stack.extend((spreads[i], prefix + "1" * i + "0")
                      for i in range(h - 1, -1, -1) if type(spreads[i]) is Node)
     return tuple(out)
+
+
+def reference_partial(t, max_size=DEFAULT_MAX_SIZE):
+    """partial(t) by the spread memo: partial(t0*t1) = partial(s0) *
+    partial(t1), with s0 = t less its rightmost leaf built as a term and
+    looked up structurally.  Raises SizeLimitExceeded when the finished
+    parts awaiting assembly, disjoint subtrees of the result, pass
+    `max_size`.  `partial` must give equal terms and raise exactly when
+    this does."""
+    # memo: term u -> (partial u, s0 of u); s0 of u0*u1 is u0 * (s0 of u1),
+    # or u0 when u1 is a leaf, so each new term costs two nodes
+    memo = {}
+    done, total = [], 0  # finished partials, and their summed size
+    todo = [(0, t, None)]
+    while todo:
+        stage, u, spread = todo.pop()
+        if stage == 0:
+            if type(u) is Node:
+                hit = memo.get(u)
+                if hit is None:
+                    todo.append((1, u, None))
+                    todo.append((0, u.right, None))
+                    continue
+                u = hit[0]
+            done.append(u)
+            total += u.size
+            if total > max_size:
+                raise SizeLimitExceeded(
+                    f"partial grew past {max_size} leaves: its finished parts hold {total}")
+        elif stage == 1:
+            # partial(u1) is done: build s0 of u, then its partial
+            r = u.right
+            spread = u.left if type(r) is not Node else Node(u.left, memo[r][1])
+            todo.append((2, u, spread))
+            todo.append((0, spread, None))
+        else:
+            p = Node(done.pop(), done.pop())
+            memo[u] = (p, spread)
+            done.append(p)
+    return done[0]
 
 
 def reference_transport(t, u):

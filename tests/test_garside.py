@@ -44,6 +44,7 @@ from helpers import (
     one_var_upto,
     random_term,
     reference_delta,
+    reference_partial,
     reference_transport,
 )
 
@@ -193,6 +194,97 @@ def test_partial_of_a_deep_left_comb():
     for _ in range(10**5 - 1):
         comb = Node(comb, x)
     assert partial(comb) == comb
+
+
+def _partial_outcome(fn, t, max_size):
+    # the term, or SizeLimitExceeded after checking its text; the size it
+    # names may differ between the two builds, which pass the ceiling at
+    # different parts of the result
+    try:
+        return fn(t, max_size)
+    except SizeLimitExceeded as err:
+        m = re.fullmatch(rf"partial grew past {max_size} leaves: its finished parts hold (\d+)",
+                         str(err))
+        assert m and int(m[1]) > max_size, str(err)
+        return SizeLimitExceeded
+
+
+def _reference_partial2(t, max_size=DEFAULT_MAX_SIZE):
+    return reference_partial(reference_partial(t, max_size), max_size)
+
+
+def _assert_partial_matches_the_reference(t, max_size):
+    assert (_partial_outcome(partial, t, max_size)
+            == _partial_outcome(reference_partial, t, max_size)), (render_term(t), max_size)
+    assert (_partial_outcome(lambda t, m: partial_iter(t, 2, max_size=m), t, max_size)
+            == _partial_outcome(_reference_partial2, t, max_size)), (render_term(t), max_size)
+
+
+def test_partial_matches_the_spread_memo_reference():
+    # 10^4 is the garside benchmark's ceiling
+    for t in _garside_cases():
+        _assert_partial_matches_the_reference(t, 10**4)
+    # at the ceilings of size and size - 1, so that each side raises or
+    # answers exactly where the other does
+    for t in one_var_upto(7) + labeled_upto(4, 2):
+        for ref in (reference_partial, _reference_partial2):
+            size = ref(t).size
+            _assert_partial_matches_the_reference(t, size)
+            _assert_partial_matches_the_reference(t, size - 1)
+    rng = random.Random(33)
+    for _ in range(1000):
+        t = random_term(rng, rng.randint(2, 20), rng.randint(1, 3))
+        for max_size in (50, 300, 10**4):
+            _assert_partial_matches_the_reference(t, max_size)
+
+
+def _prefix(v, k):
+    # v|k, the term made of v's first k leaves
+    if k == v.size:
+        return v
+    if k <= v.left.size:
+        return _prefix(v.left, k)
+    return Node(v.left, _prefix(v.right, k - v.left.size))
+
+
+def test_partial_is_a_left_comb_of_prefix_partials():
+    # partial(u0*u1) = (...(partial(u0) * partial(u1|1)) * ...) * partial(u1)
+    for t in one_var_upto(7):
+        if type(t) is Node:
+            comb = reference_partial(t.left)
+            for k in range(1, t.right.size + 1):
+                comb = Node(comb, reference_partial(_prefix(t.right, k)))
+            assert comb == reference_partial(t), render_term(t)
+
+
+def test_partial_of_deep_right_combs_and_zigzags():
+    # every built node is a node of the result, so each raises as soon as
+    # one passes the ceiling, without recursing down its 10^5 levels
+    zigzag = x
+    for i in range(10**5 - 1):
+        zigzag = Node(x, zigzag) if i % 2 == 0 else Node(zigzag, x)
+    for t in (right_comb(10**5), zigzag):
+        with pytest.raises(SizeLimitExceeded):
+            partial(t)
+
+
+def test_partial_keeps_results_shared():
+    # the memo is keyed by object, so a shared input node gives one shared
+    # result; 42,485 leaves in fewer than 4,000 node objects
+    t = partial_iter(right_comb(5), 5)
+    assert t.size == 42485
+    seen, stack = set(), [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is Node and id(u) not in seen:
+            seen.add(id(u))
+            stack += [u.left, u.right]
+    assert len(seen) < 4000
+    # the fourth pass over right_comb(6) passes the default ceiling only
+    # within one comb, after the reference's running total of finished
+    # parts would have; it raises all the same
+    with pytest.raises(SizeLimitExceeded):
+        partial_iter(right_comb(6), 4)
 
 
 def test_delta_size_ceiling():
