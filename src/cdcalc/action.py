@@ -5,14 +5,14 @@ into (s0*s1)*(s1*s2), duplicating the central factor; the negative letter
 undoes this, and is defined only when the two middle factors are literally
 equal trees.  Words act letterwise, left to right.
 
-`trace` computes the canonical pair of terms characterizing a composite
-operator (its most general instance), and `oracle_equiv` is a brute-force
-semi-decision of term equivalence by breadth-first search for a common
-expansion, used as an independent check of the algebraic decision
-procedures.
+`trace` gives the canonical term pair of a composite operator by one walk
+per letter down the running right term, and `oracle_equiv` semi-decides
+term equivalence by breadth-first search for a common expansion, an
+independent check of the algebraic decision procedures.
 """
 
 import enum
+from itertools import count
 from typing import NamedTuple, Optional
 
 from .errors import SizeLimitExceeded
@@ -20,6 +20,7 @@ from .terms import (
     Leaf,
     Node,
     Term,
+    _walk,
     canonicalize,
     project,
     replace,
@@ -118,41 +119,40 @@ class Trace(NamedTuple):
     right: Term
 
 
-def _letter_pattern(letter: Letter, fresh: int):
-    # Minimal term whose subterm at the letter's address has the shape the
-    # letter requires; every other position on the way down is a fresh leaf.
-    a, b, c = Leaf(fresh), Leaf(fresh + 1), Leaf(fresh + 2)
-    fresh += 3
-    if letter.sign > 0:
-        core = Node(a, Node(b, c))
-    else:
-        core = Node(Node(a, b), Node(b, c))
-    t = core
-    for bit in reversed(letter.addr):
-        sibling = Leaf(fresh)
-        fresh += 1
-        t = Node(t, sibling) if bit == "0" else Node(sibling, t)
-    return t, fresh
-
-
 def trace(w: Word) -> Optional[Trace]:
     """The canonical trace of the word w, or None when the operator is empty.
 
-    Built one letter at a time in one binding store: unify the running right
-    term against the letter's defining pattern and rewrite the pattern, which
-    commutes with every instance of it since the letter acts only on the shape
-    the pattern spells out.  Finally resolve x1 and the right term once, and
-    canonicalize the pair: the left term holds every variable of the right.
+    Each letter walks the running right term to its address through one
+    triangular store.  A variable met where the letter needs a product is bound
+    to a product of two fresh ones, which occur nowhere yet, so no occurs check
+    runs; these bindings give the least instance on which the letter's shape
+    exists.  A negative letter then unifies its middle factors, the one
+    equality it needs and the only step that can fail.  The letter reads only
+    the shape along its path, so rewriting it commutes with every instance.
     """
-    subst = {}
-    right = Leaf(1)
-    fresh = 2
+    subst, fresh, right = {}, count(2), Leaf(1)
+
+    def node(t):
+        t = _walk(t, subst)
+        if type(t) is Leaf:
+            subst[t.index] = t = Node(Leaf(next(fresh)), Leaf(next(fresh)))
+        return t
+
     for letter in w:
-        pattern, fresh = _letter_pattern(letter, fresh)
-        if not unify_into(right, pattern, subst):
-            return None
-        right = apply_letter(pattern, letter)
-        assert right is not None, "letter must apply to its own pattern"
+        path, s = [], node(right)
+        for bit in letter.addr:
+            path.append((s, bit))
+            s = node(s.left if bit == "0" else s.right)
+        if letter.sign > 0:
+            r = node(s.right)
+            right = Node(Node(s.left, r.left), r)
+        else:
+            l, r = node(s.left), node(s.right)
+            if not unify_into(l.right, r.left, subst):
+                return None
+            right = Node(l.left, r)
+        for n, bit in reversed(path):
+            right = Node(right, n.right) if bit == "0" else Node(n.left, right)
     pair = canonicalize(Node(resolve(Leaf(1), subst), resolve(right, subst)))
     return Trace(pair.left, pair.right)
 

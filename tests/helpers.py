@@ -11,7 +11,10 @@ from cdcalc import (
     Node,
     SizeLimitExceeded,
     StepBudgetExceeded,
+    Trace,
+    apply_letter,
     apply_word,
+    canonicalize,
     chi,
     complement,
     delta,
@@ -326,6 +329,28 @@ def reference_transport(t, u):
     if t2 is None:
         raise ValueError(f"word {render_word(u)} does not apply to {render_term(t)}")
     return complement(delta(t), u + delta(t2))
+
+
+def reference_trace(w):
+    """trace by letter patterns: unify the running right term with the
+    least term whose subterm at the letter's address has the letter's
+    shape, every other position on the way down a fresh leaf, and rewrite
+    the pattern.  `trace` must give the same pair, or None with this."""
+    subst = {}
+    right = Leaf(1)
+    fresh = 2
+    for letter in w:
+        a, b, c = Leaf(fresh), Leaf(fresh + 1), Leaf(fresh + 2)
+        fresh += 3
+        pattern = Node(a, Node(b, c)) if letter.sign > 0 else Node(Node(a, b), Node(b, c))
+        for bit in reversed(letter.addr):
+            pattern = Node(pattern, Leaf(fresh)) if bit == "0" else Node(Leaf(fresh), pattern)
+            fresh += 1
+        if not unify_into(right, pattern, subst):
+            return None
+        right = apply_letter(pattern, letter)
+    pair = canonicalize(Node(resolve(Leaf(1), subst), resolve(right, subst)))
+    return Trace(pair.left, pair.right)
 
 
 def _addresses(maxlen):

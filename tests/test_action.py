@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 import time
@@ -41,6 +42,8 @@ from helpers import (
     match,
     one_var_upto,
     pos_words_st,
+    random_term,
+    reference_trace,
     terms_st,
     words_st,
 )
@@ -155,6 +158,78 @@ def test_relations_have_equal_traces_and_actions():
         assert trace(u) == trace(v)
         for t in terms:
             assert apply_word(t, u) == apply_word(t, v)
+
+
+def _rendered(tr):
+    return None if tr is None else (render_term(tr.left), render_term(tr.right))
+
+
+def test_trace_matches_the_pattern_reference_on_signed_words():
+    # every word of the relations, then seeded random signed words
+    rng = random.Random(34)
+    addrs = ["", "0", "1", "00", "01", "10", "11", "010", "101", "0110", "1011"]
+    words = [w for pair in cd_relations(1) for w in pair]
+    words += [tuple(Letter(rng.choice(addrs), rng.choice((1, -1)))
+                    for _ in range(rng.randint(0, 8))) for _ in range(5000)]
+    empty = 0
+    for w in words:
+        got = _rendered(trace(w))
+        assert got == _rendered(reference_trace(w)), w
+        empty += got is None
+    assert 50 < empty < 500  # both outcomes are exercised
+
+
+def _moves(t):
+    # every signed letter that applies to t, with its image
+    out, stack = [], [("", t)]
+    while stack:
+        a, s = stack.pop()
+        if type(s) is Node:
+            for letter in (Letter(a, 1), Letter(a, -1)):
+                image = apply_letter(t, letter)
+                if image is not None:
+                    out.append((letter, image))
+            stack += [(a + "0", s.left), (a + "1", s.right)]
+    return out
+
+
+def _applicable_walk(rng):
+    # a random 4-14-leaf one-variable term and a signed walk of 30-120
+    # letters that applies to it, shrinking once past 60 leaves when it can
+    while True:
+        t0 = t = random_term(rng, rng.randint(4, 14), 1)
+        w = []
+        for _ in range(rng.randint(30, 120)):
+            moves = _moves(t)
+            if not moves:
+                break
+            shrink = [m for m in moves if m[0].sign < 0]
+            letter, t = rng.choice(shrink if t.size > 60 and shrink else moves)
+            w.append(letter)
+        else:
+            return t0, tuple(w), t
+
+
+def test_trace_matches_the_pattern_reference_on_applicable_walks():
+    rng = random.Random(34)
+    for _ in range(100):
+        t, w, image = _applicable_walk(rng)
+        tr = trace(w)
+        assert _rendered(tr) == _rendered(reference_trace(w)), w
+        assert match(Node(tr.left, tr.right), Node(t, image)) is not None
+
+
+def test_positive_words_make_no_occurs_check(monkeypatch):
+    calls, occurs = [], cdcalc.terms._occurs
+
+    def counted(index, t, subst):
+        calls.append(index)
+        return occurs(index, t, subst)
+
+    monkeypatch.setattr(cdcalc.terms, "_occurs", counted)
+    tr = trace(pos_word(["0" * k for k in range(240)]))
+    assert (tr.left.size, tr.right.size, len(calls)) == (242, 29162, 0)
+    assert trace(parse_word("e.e.-0")) is None and calls  # negative letters still check
 
 
 def test_oracle_examples():
