@@ -187,11 +187,10 @@ def _search(t: Term, t2: Term, depth: int, shape: tuple, shape2: tuple) -> Verdi
     # expansions found so far and grows by one positive step a round; within
     # one equivalence class a skeleton determines the term, so a clash on one
     # side is a bug.
-    if t == t2:
-        return Verdict.EQUIVALENT
     sides = (({shape: t}, [t]), ({shape2: t2}, [t2]))
     for k in range(depth + 1):
-        for closure, frontier in sides if k else ():  # round 0 is the pair itself
+        # round 0 is the pair itself: its skeleton check settles equal pairs too
+        for closure, frontier in sides if k else ():
             fresh = []
             for s in frontier:
                 for _, e in expansions(s):

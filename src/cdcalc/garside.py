@@ -110,7 +110,7 @@ def delta(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Word:
             # s_{h-1} = l_{h-1} may be a leaf; the other spreads are products
             if type(spine[-1]) is Node:
                 stack.append((spine, h - 1, prefix + "1" * (h - 1) + "0"))
-            if h > 2:
+            if h > 2:  # kept for speed on garside's delta queries
                 stack.extend([(spine, k, prefix + "1" * k + "0") for k in range(h - 2, 0, -1)])
         elif h == 0 or type(spine[0]) is not Node:
             if not stack:
@@ -183,7 +183,7 @@ def partial(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Term:
                 r = r.left
             spine.reverse()
             comb = list(accumulate(chain.from_iterable(spine), Node, initial=Node(left, r)))
-        else:
+        else:  # a leaf r: one node, kept for speed on garside's light partial2
             comb = [Node(left, r)]
         if comb[-1].size > max_size:
             n = next(p.size for p in comb if p.size > max_size)

@@ -108,6 +108,7 @@ def _reverse(w: Word, budget: int):
     left, right, pending = [], [], []
     npos = steps = read = 0
     while True:
+        # both empty-run guards are kept for speed on garside's lcm and posequiv
         if pending:
             y, tag = pending.pop()
             if tag < len(right):

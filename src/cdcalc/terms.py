@@ -32,12 +32,8 @@ class Term:
         return Node(self, other)
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, Term):
             return NotImplemented
-        if self._hash != other._hash:
-            return False
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
@@ -221,16 +217,16 @@ def canonicalize(t: Term) -> Term:
 
 def project(t: Term) -> Term:
     """Replace every variable with x1, keeping (not copying) subterms of x1 alone;
-    a one-variable term comes back as itself without a walk."""
+    a one-variable term comes back as itself without a walk, kept for speed
+    on decide-random's `decide` queries."""
     if t.max_var == 1:
         return t
     return substitute(t, {i: X for i in variables(t) if i != 1})
 
 
 def substitute(t: Term, mapping: dict) -> Term:
-    """Apply the substitution {index: term} to t. Unmapped variables stay."""
-    if not mapping:
-        return t
+    """Apply the substitution {index: term} to t. Unmapped variables stay,
+    and t comes back itself when nothing in it maps."""
     work = [(t, False)]
     out = []
     while work:
@@ -281,20 +277,16 @@ def unify_into(t1: Term, t2: Term, subst: dict) -> bool:
         b = _walk(b, subst)
         if a is b:
             continue
-        if type(a) is Leaf and type(b) is Leaf:
-            if a.index != b.index:
-                subst[a.index] = b
-        elif type(a) is Leaf:
-            if _occurs(a.index, b, subst):
-                return False
-            subst[a.index] = b
-        elif type(b) is Leaf:
-            if _occurs(b.index, a, subst):
-                return False
-            subst[b.index] = a
-        else:
-            stack.append((a.left, b.left))
-            stack.append((a.right, b.right))
+        if type(a) is Node and type(b) is Node:
+            stack += ((a.left, b.left), (a.right, b.right))
+            continue
+        if type(a) is Node:
+            a, b = b, a
+        if type(b) is Leaf and b.index == a.index:
+            continue
+        if _occurs(a.index, b, subst):
+            return False
+        subst[a.index] = b
     return True
 
 

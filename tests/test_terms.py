@@ -209,6 +209,8 @@ def test_terms_multiply_and_compare_only_with_terms():
     with pytest.raises(TypeError):
         Leaf(1) * 3
     assert (Leaf(1) == 3) is False
+    t = right_comb(3000)
+    assert (t == "x1") is False and t.__eq__("x1") is NotImplemented
 
 
 @given(terms_st)
@@ -324,6 +326,8 @@ def test_skeletons_sort_as_nested_shapes():
 def test_canonicalize_keeps_what_the_renaming_leaves_alone():
     t = parse_term("(x1 (x1 x1))")
     assert canonicalize(t) is t
+    t = right_comb(3000)
+    assert substitute(t, {}) is t and substitute(t, {2: x3}) is t
     for t in one_var_upto(5) + labeled_upto(4, 3):
         if is_canonical(t):
             assert canonicalize(t) is t
@@ -350,6 +354,15 @@ def test_unify_examples():
     a = substitute((x1 * x2) * (x2 * x3), h)
     b = substitute((x4 * x4) * (Leaf(5) * Leaf(6)), h)
     assert a == b
+    # the raw store: a variable is bound to the other side, whichever side
+    # it stands on, and a variable against itself binds nothing
+    subst = {}
+    assert unify_into(x1, x2, subst) and subst == {1: x2}
+    subst = {}
+    assert unify_into(x2 * x3, x1, subst) and subst == {1: x2 * x3}
+    subst = {}
+    assert unify_into(Leaf(3), Leaf(3), subst) and subst == {}
+    assert not unify_into(x1, x1 * x2, {})
 
 
 def test_unify_reuses_subterms_without_bound_variables():
