@@ -148,7 +148,11 @@ def partial(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Term:
     comb, partial(u|m) for size(u0) < m <= size(u), whose last entry is
     partial(u).  Every node built is a node of the result, each input node
     is met once, and the result shares its objects wherever the input
-    shares its own.  Nothing recurses.
+    shares its own.  A node u0*x with a leaf x, whose partial(u0) came
+    back as u0 itself, is its own partial and is kept, not rebuilt: so the
+    left-comb parts of t are shared with the result, and a left comb
+    comes back as itself.
+    Nothing recurses.
 
     Raises SizeLimitExceeded exactly when size(partial t) > max_size: every
     node built is a subterm of the result and the last one is the result.
@@ -184,7 +188,7 @@ def partial(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Term:
             spine.reverse()
             comb = list(accumulate(chain.from_iterable(spine), Node, initial=Node(left, r)))
         else:  # a leaf r: one node, kept for speed on garside's light partial2
-            comb = [Node(left, r)]
+            comb = [u if left is u.left else Node(left, r)]
         if comb[-1].size > max_size:
             n = next(p.size for p in comb if p.size > max_size)
             raise SizeLimitExceeded(

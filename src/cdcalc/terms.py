@@ -12,10 +12,13 @@ deep terms (left combs of ~10^6 leaves) never recurse, in Python or in C.
 Every term carries three values set at construction: `size`, its number
 of leaves, `max_var`, its largest variable index, so `t.max_var == 1`
 tells a one-variable term in O(1), and `right_height`, the length of its
-rightmost branch, so two right heights compare in O(1).  `parse_term`
-builds each distinct subterm of its input once: equal subterms of one
-parse are one object, which identity checks and memos keyed on terms then
-hit at once.
+rightmost branch, so two right heights compare in O(1).  A leaf's hash
+is set at construction too, but a product's is stored on first use: its
+first hash fills in its own and those of its unhashed subterms, so terms
+that are only built, as Garside expansions mostly are, never pay for
+one.  `parse_term` builds each distinct subterm of its input once: equal
+subterms of one parse are one object, which identity checks and memos
+keyed on terms then hit at once.
 """
 
 from string import whitespace
@@ -32,24 +35,53 @@ class Term:
         return Node(self, other)
 
     def __eq__(self, other):
+        """Literal equality, in the size of the two terms' DAGs.  One walk
+        over pairs of subterms skips an identical pair and a pair already
+        met in this call, and rejects on type, on the stored size, on a
+        leaf's index, and on the hashes where both sides have one.  The
+        first unequal pair ends the walk, so a pair met before is equal or
+        still being compared, and shared subterms are compared once, not
+        once per path to them."""
         if not isinstance(other, Term):
             return NotImplemented
+        seen = set()
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
             if a is b:
                 continue
-            if type(a) is not type(b) or a._hash != b._hash:
+            if type(a) is not type(b) or a.size != b.size:
                 return False
             if type(a) is Leaf:
                 if a.index != b.index:
                     return False
-            else:
+                continue
+            ha, hb = a._hash, b._hash
+            if ha != hb and ha is not None and hb is not None:
+                return False
+            key = (id(a), id(b))
+            if key not in seen:
+                seen.add(key)
                 stack.append((a.left, b.left))
                 stack.append((a.right, b.right))
         return True
 
     def __hash__(self):
+        """hash((True, hash(left), hash(right))) on a product, filled in on
+        first use by one postorder over the nodes not hashed yet, so that
+        deep terms never recurse; a leaf's is set at construction."""
+        if self._hash is None:
+            stack = [self]
+            while stack:
+                u = stack[-1]
+                left, right = u.left, u.right
+                if left._hash is None:
+                    stack.append(left)
+                elif right._hash is None:
+                    stack.append(right)
+                else:
+                    stack.pop()
+                    u._hash = hash((True, left._hash, right._hash))
         return self._hash
 
     def __repr__(self):
@@ -74,7 +106,9 @@ class Leaf(Term):
 
 class Node(Term):
     """The product left*right; `size` counts its leaves, `max_var` is the
-    larger of its children's and `right_height` is one more than right's."""
+    larger of its children's and `right_height` is one more than right's,
+    all three stored at construction.  `_hash` starts as None and is
+    stored on first use (see Term.__hash__)."""
 
     __slots__ = ("left", "right", "size", "max_var", "right_height", "_hash")
 
@@ -85,7 +119,7 @@ class Node(Term):
         a, b = left.max_var, right.max_var
         self.max_var = a if a > b else b
         self.right_height = right.right_height + 1
-        self._hash = hash((True, left._hash, right._hash))
+        self._hash = None
 
 
 X = Leaf(1)  # the variable x in one-variable contexts

@@ -189,11 +189,38 @@ def test_partial_size_ceiling_is_exact():
 
 
 def test_partial_of_a_deep_left_comb():
-    # a left comb is its own partial; its 10^5 levels must not recurse
+    # a left comb is its own partial, the same object; its 10^5 levels
+    # must not recurse
     comb = x
     for _ in range(10**5 - 1):
         comb = Node(comb, x)
-    assert partial(comb) == comb
+    assert partial(comb) is comb
+
+
+def _nodes(t):
+    seen, stack = {}, [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is Node and id(u) not in seen:
+            seen[id(u)] = u
+            stack += [u.left, u.right]
+    return seen
+
+
+def test_partial_keeps_the_nodes_it_leaves_alone():
+    # a left comb, and only a left comb, has an empty delta, and partial
+    # gives it back itself
+    for t in one_var_upto(7) + labeled_upto(4, 3):
+        assert (partial(t) is t) == (delta(t) == ()), render_term(t)
+    # partial(u) is a subterm of partial(t) for every subterm u of t, so
+    # every left-comb node of t is a node of partial(t), by identity
+    rng = random.Random(36)
+    for _ in range(300):
+        t = random_term(rng, rng.randint(2, 14), rng.randint(1, 3))
+        kept = _nodes(partial(t))
+        for key, u in _nodes(t).items():
+            if delta(u) == ():
+                assert key in kept, (render_term(t), render_term(u))
 
 
 def _partial_outcome(fn, t, max_size):
@@ -273,13 +300,7 @@ def test_partial_keeps_results_shared():
     # result; 42,485 leaves in fewer than 4,000 node objects
     t = partial_iter(right_comb(5), 5)
     assert t.size == 42485
-    seen, stack = set(), [t]
-    while stack:
-        u = stack.pop()
-        if type(u) is Node and id(u) not in seen:
-            seen.add(id(u))
-            stack += [u.left, u.right]
-    assert len(seen) < 4000
+    assert len(_nodes(t)) < 4000
     # the fourth pass over right_comb(6) passes the default ceiling only
     # within one comb, after the reference's running total of finished
     # parts would have; it raises all the same

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -213,9 +214,60 @@ def test_terms_multiply_and_compare_only_with_terms():
     assert (t == "x1") is False and t.__eq__("x1") is NotImplemented
 
 
+def test_equality_compares_in_dag_size():
+    # each pair of subterms is compared once per call, not once per path
+    # to it: two towers a = Node(a, a) of 2^60 leaves, 61 objects each,
+    # with no hash set before the first compares; c is b with its
+    # leftmost leaf changed, which the walk reaches last
+    a, b, c = Leaf(1), Leaf(1), Leaf(2)
+    for _ in range(60):
+        a, b, c = Node(a, a), Node(b, b), Node(c, b)
+    assert a is not b and a == b
+    assert c.size == a.size and a != c and c != a
+    assert hash(a) == hash(b) and a == b and a != c
+
+
+def _leaf_hash(i):
+    return hash((False, i))
+
+
+def test_hash_formula():
+    assert hash(x1) == _leaf_hash(1)
+    assert hash(x1 * x2) == hash((True, _leaf_hash(1), _leaf_hash(2)))
+    h12 = hash((True, _leaf_hash(1), _leaf_hash(2)))
+    h31 = hash((True, _leaf_hash(3), _leaf_hash(1)))
+    t = parse_term("(((x1 x2) (x3 x1)) x2)")
+    assert t._hash is None
+    assert hash(t) == hash((True, hash((True, h12, h31)), _leaf_hash(2)))
+    # the first hash stores those of every subterm on the way
+    assert t.left._hash == hash((True, h12, h31)) and t.left.right._hash == h31
+
+
+def test_deep_terms_hash_without_recursing():
+    depth = 10**5
+    left, right = x1, x1
+    h_left = h_right = _leaf_hash(1)
+    for _ in range(depth):
+        left, right = Node(left, x2), Node(x2, right)
+        h_left = hash((True, h_left, _leaf_hash(2)))
+        h_right = hash((True, _leaf_hash(2), h_right))
+    p = partial_iter(right_comb(6), 3)
+    assert p.size == 16636 and p._hash is None
+    expected = hash(parse_term(render_term(p)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        assert hash(left) == h_left and hash(right) == h_right
+        assert hash(p) == expected
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 @given(terms_st)
 def test_render_parse_roundtrip(t):
-    assert parse_term(render_term(t)) == t
+    # equal terms hash equal, here a fresh, unhashed parse against t
+    parsed = parse_term(render_term(t))
+    assert parsed == t and hash(parsed) == hash(t)
 
 
 def test_subterm():
