@@ -95,20 +95,32 @@ def iter_expansions(t: Term, steps: int):
     in at most `steps` positive rewrites, breadth first."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    seen = {t}
-    level = [t]
+    key = skeleton(t)
+    closure, level = {key: t}, [key]
     yield 0, t
     for k in range(1, steps + 1):
-        nxt = []
-        for s in level:
-            for _, e in expansions(s):
-                if e not in seen:
-                    seen.add(e)
-                    nxt.append(e)
-        nxt.sort(key=lambda term: (term.size, skeleton(term)))
-        for e in nxt:
-            yield k, e
-        level = nxt
+        # a skeleton is 2 * size - 1 long: this is the (size, skeleton) order
+        level = sorted(_grow(closure, level), key=lambda shape: (len(shape), shape))
+        for key in level:
+            yield k, closure[key]
+
+
+def _grow(closure: dict, frontier: list) -> list:
+    # One positive step from the frontier's skeletons into the closure, a
+    # skeleton -> term dict over one equivalence class; returns the new
+    # skeletons.  Within one class a skeleton determines the term, so a
+    # clash is a bug.
+    fresh = []
+    for key in frontier:
+        for _, e in expansions(closure[key]):
+            shape = skeleton(e)
+            old = closure.setdefault(shape, e)
+            if old is e:
+                fresh.append(shape)
+            elif old != e:
+                raise RuntimeError(
+                    "two distinct equivalent terms share a skeleton; theory violated")
+    return fresh
 
 
 class Trace(NamedTuple):
@@ -169,43 +181,30 @@ class Verdict(enum.Enum):
         raise TypeError(f"the verdict {self.value} cannot be coerced to a boolean")
 
 
-def _strictly_left_divides(low: set, high: set) -> bool:
-    # Witness that some member of `high` has a proper iterated left subterm
-    # inside `low`, i.e. low's class strictly left-divides high's class.
-    for s in high:
-        cur = s
+def _strictly_left_divides(low: dict, high: dict) -> bool:
+    # Witness that some member of closure `high` has a proper iterated left
+    # subterm in closure `low`, i.e. low's class strictly left-divides high's.
+    # With key the skeleton of cur, cur.left's is key[1:2 * cur.left.size].
+    for key, cur in high.items():
         while type(cur) is Node:
             cur = cur.left
-            if cur in low:
+            key = key[1:2 * cur.size]
+            if low.get(key) == cur:
                 return True
     return False
 
 
-def _search(t: Term, t2: Term, depth: int, shape: tuple, shape2: tuple) -> Verdict:
+def _search(t: Term, t2: Term, depth: int, shape: str, shape2: str) -> Verdict:
     # The closure search on one pair with skeletons shape, shape2, without the
-    # spine check or descent.  Each side maps skeleton -> term over the
-    # expansions found so far and grows by one positive step a round; within
-    # one equivalence class a skeleton determines the term, so a clash on one
-    # side is a bug.
-    sides = (({shape: t}, [t]), ({shape2: t2}, [t2]))
+    # spine check or descent.  Each side's closure maps skeleton -> term over
+    # the expansions found so far and grows by one positive step a round.
+    a, b, front, front2 = {shape: t}, {shape2: t2}, [shape], [shape2]
     for k in range(depth + 1):
-        # round 0 is the pair itself: its skeleton check settles equal pairs too
-        for closure, frontier in sides if k else ():
-            fresh = []
-            for s in frontier:
-                for _, e in expansions(s):
-                    old = closure.setdefault(skeleton(e), e)
-                    if old is e:
-                        fresh.append(e)
-                    elif old != e:
-                        raise RuntimeError(
-                            "two distinct equivalent terms share a skeleton; theory violated")
-            frontier[:] = fresh
-        a, b = sides[0][0], sides[1][0]
+        if k:  # round 0 is the pair itself: its skeleton check settles equal pairs too
+            front, front2 = _grow(a, front), _grow(b, front2)
         for key in a.keys() & b.keys():  # one shared skeleton settles the pair
             return Verdict.EQUIVALENT if a[key] == b[key] else Verdict.NOT_EQUIVALENT
-        low, high = set(a.values()), set(b.values())
-        if _strictly_left_divides(low, high) or _strictly_left_divides(high, low):
+        if _strictly_left_divides(a, b) or _strictly_left_divides(b, a):
             return Verdict.NOT_EQUIVALENT
     return Verdict.UNKNOWN
 

@@ -85,11 +85,12 @@ def delta(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Word:
     right spine are L[k:-1] followed by those of L[-1].  So s_k is the list
     l_0 ... l_{h-1} at k, and each spread's spreads come from its list alike.
 
-    One ceiling bounds what is built, the word: SizeLimitExceeded as soon
-    as it passes `max_size` letters, 10^6 by default.  It counts no
-    spread's leaves, since no spread is built.  delta raises only where
-    partial(t, max_size) raises anyway: every positive letter adds at
-    least one leaf, so len(delta(t)) <= size(partial t) - size(t).
+    One ceiling bounds what is built, the word: SizeLimitExceeded before a
+    block of letters that would take it past `max_size` letters, 10^6 by
+    default, is built.  It counts no spread's leaves, since no spread is
+    built.  delta raises only where partial(t, max_size) raises anyway:
+    every positive letter adds at least one leaf, so len(delta(t)) <=
+    size(partial t) - size(t).
     """
     # Preorder over spreads, leaves skipped: each letter is built once, at
     # its final address, and nothing is kept but the output.  s_0 is walked
@@ -103,10 +104,10 @@ def delta(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Word:
             cur = cur.right
         h = len(spine)
         if h > 1:
-            out.extend([_letter((prefix + "1" * k, 1)) for k in range(h - 2, -1, -1)])
-            if len(out) > max_size:
+            if len(out) + h - 1 > max_size:
                 raise SizeLimitExceeded(
                     f"delta grew past {max_size} letters, so its expansion passes {max_size} leaves")
+            out.extend([_letter((prefix + "1" * k, 1)) for k in range(h - 2, -1, -1)])
             # s_{h-1} = l_{h-1} may be a leaf; the other spreads are products
             if type(spine[-1]) is Node:
                 stack.append((spine, h - 1, prefix + "1" * (h - 1) + "0"))

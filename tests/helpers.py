@@ -31,6 +31,7 @@ from cdcalc import (
     render_word,
     right_comb,
     same_spine,
+    skeleton,
     star,
     variables,
 )
@@ -252,6 +253,28 @@ def reference_chi(t):
             stack.append(cur.right)
             stack.append(cur.left)
     return memo[t]
+
+
+def reference_iter_expansions(t, steps):
+    """iter_expansions by a set of terms: each level's new expansions are
+    told apart by hashing, then sorted by (size, skeleton).
+    `iter_expansions` must yield the same (step count, term) listing."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    seen = {t}
+    level = [t]
+    yield 0, t
+    for k in range(1, steps + 1):
+        nxt = []
+        for s in level:
+            for _, e in expansions(s):
+                if e not in seen:
+                    seen.add(e)
+                    nxt.append(e)
+        nxt.sort(key=lambda term: (term.size, skeleton(term)))
+        for e in nxt:
+            yield k, e
+        level = nxt
 
 
 def reference_delta(t, max_size=None):

@@ -41,10 +41,12 @@ from helpers import (
     injective_upto,
     is_canonical,
     is_injective,
+    labeled_upto,
     match,
     one_var_upto,
     pos_words_st,
     random_term,
+    reference_iter_expansions,
     reference_trace,
     terms_st,
     words_st,
@@ -91,6 +93,14 @@ def test_iter_expansions_bfs():
     assert out[0] == (0, X * (X * X))
     assert (1, (X * X) * (X * X)) in out
     assert len([k for k, _ in out if k == 2]) == 1
+
+
+def test_iter_expansions_matches_the_term_set_reference():
+    # the skeleton-keyed closure lists what the set of terms lists, in order
+    for t in one_var_upto(6) + labeled_upto(3, 2):
+        for steps in range(4):
+            assert (list(iter_expansions(t, steps))
+                    == list(reference_iter_expansions(t, steps))), (render_term(t), steps)
 
 
 def test_trace_examples():

@@ -351,6 +351,27 @@ def test_delta_matches_the_spread_building_reference_at_every_ceiling():
                     == _delta_outcome(reference_delta, t, max_size)), (render_term(t), max_size)
 
 
+def test_delta_checks_its_ceiling_before_building_a_block():
+    # right_comb(20000) opens with a 19,998-letter block of ~2 * 10^8
+    # address characters: a ceiling of 10 raises before it is built, in a
+    # child under a 128 MiB address-space ceiling
+    code = (
+        "from cdcalc import SizeLimitExceeded, delta, right_comb\n"
+        "try:\n"
+        "    delta(right_comb(20000), max_size=10)\n"
+        "except SizeLimitExceeded as e:\n"
+        "    print(e)\n"
+    )
+    ceiling = 128 * 2**20
+    src = str(Path(sys.modules["cdcalc"].__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (ceiling, ceiling)),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "delta grew past 10 letters, so its expansion passes 10 leaves\n"
+
+
 def test_delta_of_a_deep_left_comb():
     # every spread down a left comb is a left comb with an empty delta; its
     # 10^5 levels must not recurse
