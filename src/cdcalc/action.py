@@ -68,7 +68,7 @@ def apply_word_partial(t: Term, w: Word, max_size: Optional[int] = None):
         if nxt is None:
             return None, done
         if max_size is not None and nxt.size > max_size:
-            raise SizeLimitExceeded(f"term grew past {max_size} leaves while applying a word")
+            raise SizeLimitExceeded(f"term grew past {max_size} leaves at letter {done + 1} of {len(w)}")
         t = nxt
         done += 1
     return t, done
@@ -236,7 +236,7 @@ def oracle_equiv(t: Term, t2: Term, depth: int) -> Verdict:
     # keep the skeletons, and each level's skeleton is a suffix of the one
     # above: its right half, from index 2 * left.size.
     p, p2 = project(t), project(t2)
-    one_var = (p, p2) == (t, t2)
+    one_var = t.max_var == 1  # and so is t2's, by same_spine
     shape, shape2 = skeleton(t), skeleton(t2)
     for d in range(depth + 1):
         s, s2, q, q2, sh, sh2 = t, t2, p, p2, shape, shape2

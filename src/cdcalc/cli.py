@@ -141,7 +141,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, result, lines = COMMANDS[args.command][2](args)
-    except (ValueError, StepBudgetExceeded, SizeLimitExceeded, RecursionError,
+    except (ValueError, StepBudgetExceeded, SizeLimitExceeded,
             MemoryError) as exc:  # a ParseError is a ValueError
         message = str(exc) or type(exc).__name__
         if args.json:

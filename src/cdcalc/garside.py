@@ -259,16 +259,16 @@ def delta_transport(t: Term, u: Word) -> Word:
     SizeLimitExceeded is raised, with the progress made, before it would
     pass DEFAULT_MAX_SIZE letters.
     """
-    addrs = positive_addresses(u)
+    positive_addresses(u)
     if apply_word(t, u) is None:
         raise ValueError(f"word {render_word(u)} does not apply to {render_term(t)}")
     out = []
-    for n, alpha in enumerate(addrs):
-        if not _transport(t, alpha, out):
+    for n, letter in enumerate(u, 1):
+        if not _transport(t, letter.addr, out):
             raise SizeLimitExceeded(
-                f"delta_transport grew past {DEFAULT_MAX_SIZE} letters on letter {n + 1} of "
-                f"{len(addrs)}: {len(out)} letters built")
-        t = apply_letter(t, _letter((alpha, 1)))
+                f"delta_transport grew past {DEFAULT_MAX_SIZE} letters on letter {n} of "
+                f"{len(u)}: {len(out)} letters built")
+        t = apply_letter(t, letter)
     return pos_word(out)
 
 

@@ -20,10 +20,11 @@ positive-word and group word problems, both exposed here.
 One core, `_reverse`, does the redressing on address strings and returns
 the numerator and the denominator as lists of addresses.  `redress` wraps
 them as a `Fraction` of positive words; `complement` builds only the
-numerator's letters, and `pos_equiv` builds none.  Callers that only read
-addresses, such as the P_zero test of `decide`, call the core directly.
+numerator's letters, `pos_equiv` and `group_equiv` none.  Callers that only
+read addresses, such as the P_zero test of `decide`, call the core directly.
 """
 
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import StepBudgetExceeded
@@ -172,25 +173,26 @@ def _reverse(w: Word, budget: int):
     return left[:npos], left[npos:][::-1]
 
 
+def _over(u, v) -> list:
+    """u^-1.v as (address, sign) pairs, from the address sequences of the
+    positive words u and v."""
+    return [*zip(reversed(u), repeat(-1)), *zip(v, repeat(1))]
+
+
 def complement(u: Word, v: Word, budget: int = DEFAULT_BUDGET) -> Word:
     """The positive complement u\\v: the numerator of redressing u^-1.v.
     Total on positive words."""
-    positive_addresses(u)
-    positive_addresses(v)
-    return pos_word(_reverse(inverse(u) + v, budget)[0])
+    return pos_word(_reverse(_over(positive_addresses(u), positive_addresses(v)), budget)[0])
 
 
 def pos_equiv(u: Word, v: Word, budget: int = DEFAULT_BUDGET) -> bool:
     """Decide equivalence of positive words with one reversal: u^-1.v must
     redress to the empty fraction, so that both complements vanish."""
-    positive_addresses(u)
-    positive_addresses(v)
-    num, den = _reverse(inverse(u) + v, budget)
-    return not num and not den
+    return not any(_reverse(_over(positive_addresses(u), positive_addresses(v)), budget))
 
 
 def group_equiv(w: Word, w2: Word, budget: int = DEFAULT_BUDGET) -> bool:
     """Decide equivalence of arbitrary signed words in the presented group:
-    redress w^-1.w2 and compare numerator with denominator."""
-    fraction = redress(inverse(w) + w2, budget=budget)
-    return pos_equiv(fraction.num, fraction.den, budget=budget)
+    redress w^-1.w2 to num.den^-1, then num^-1.den as `pos_equiv` does."""
+    num, den = _reverse(inverse(w) + w2, budget)
+    return not any(_reverse(_over(num, den), budget))

@@ -21,6 +21,7 @@ subterms of one parse are one object, which identity checks and memos
 keyed on terms then hit at once.
 """
 
+from itertools import chain
 from string import whitespace
 
 from .errors import ParseError
@@ -179,13 +180,7 @@ def variables(t: Term):
 
 def first_occurrences(t: Term) -> list:
     """Distinct variable indices in order of first (leftmost) occurrence."""
-    seen = set()
-    out = []
-    for i in variables(t):
-        if i not in seen:
-            seen.add(i)
-            out.append(i)
-    return out
+    return list(dict.fromkeys(variables(t)))
 
 
 def spine_profile(t: Term) -> tuple:
@@ -194,8 +189,8 @@ def spine_profile(t: Term) -> tuple:
 
     It encodes the right height, the rightmost variable (last level) and the
     variable order; rewriting in either direction preserves it (see `decide`).
-    Built bottom-up: level k is first_occurrences(left_k) followed by the
-    part of level k+1 it has not seen, which costs O(n + h*v) for n leaves,
+    Built bottom-up: level k is the first occurrences in the variables of
+    left_k followed by level k+1, which costs O(n + h*v) for n leaves,
     right height h and v variables.
     """
     lefts = []
@@ -205,9 +200,7 @@ def spine_profile(t: Term) -> tuple:
     level = (t.index,)
     profile = [level]
     for left in reversed(lefts):
-        head = first_occurrences(left)
-        seen = set(head)
-        level = tuple(head) + tuple(i for i in level if i not in seen)
+        level = tuple(dict.fromkeys(chain(variables(left), level)))
         profile.append(level)
     profile.reverse()
     return tuple(profile)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import subprocess
 import sys
@@ -109,7 +110,7 @@ def test_a_leading_inverse_letter_needs_a_separator(capsys):
     (["--max-size", "5", "partial", "(x1 (x1 (x1 x1)))"],
      "partial grew past 5 leaves: its finished parts hold 8"),
     (["--max-size", "3", "apply", "(x1 (x1 x1))", "e"],
-     "term grew past 3 leaves while applying a word"),
+     "term grew past 3 leaves at letter 1 of 1"),
 ])
 def test_ceilings_end_in_the_error_envelope(capsys, args, error):
     assert main(["--json", *args]) == 2
@@ -151,3 +152,24 @@ def test_the_cli_imports_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def _callee(func):
+    """The name a call reaches its function by: f(...), self.f(...) or cls.f(...)."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.attr if func.value.id in ("self", "cls") else None
+    return None
+
+
+def test_no_function_calls_itself():
+    # so no input drives cdcalc into RecursionError, and main does not catch
+    # it; a nested function that calls the one around it counts too
+    found = []
+    for path in sorted(Path(cdcalc.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{call.lineno} {fn.name}" for call in ast.walk(fn)
+                          if isinstance(call, ast.Call) and _callee(call.func) == fn.name]
+    assert found == []

@@ -33,7 +33,7 @@ from cdcalc import (
     trace,
 )
 from cdcalc.cli import main
-from cdcalc.redress import DEFAULT_BUDGET
+from cdcalc.redress import DEFAULT_BUDGET, _reverse
 from helpers import (
     cd_relations,
     labeled_upto,
@@ -331,6 +331,49 @@ def test_group_equiv_examples():
 @given(words_st)
 def test_group_equiv_reflexive(w):
     assert group_equiv(w, w)
+
+
+def _answer(f, *args, budget):
+    """f's answer at `budget` (None for the default), or its budget error text."""
+    try:
+        return f(*args) if budget is None else f(*args, budget=budget)
+    except StepBudgetExceeded as exc:
+        return f"budget: {exc}"
+
+
+def _seeded_word_pairs(signs):
+    rng = random.Random(38)
+    addrs = [""] + ["".join(p) for n in (1, 2, 3) for p in product("01", repeat=n)]
+    def word():
+        return tuple(Letter(rng.choice(addrs), rng.choice(signs)) for _ in range(rng.randint(0, 8)))
+    return [(word(), word()) for _ in range(2000)]
+
+
+REVERSAL_BUDGETS = (0, 1, 2, 5, 17, 100, None)
+
+
+def test_group_equiv_is_pos_equiv_of_the_redressed_fraction():
+    # the reference redresses w^-1.w2 and decides its fraction with
+    # pos_equiv: the same answer, or the same budget error, at every budget
+    def reference(w, w2, budget=DEFAULT_BUDGET):
+        return pos_equiv(*redress(inverse(w) + w2, budget=budget), budget=budget)
+    for w, w2 in _seeded_word_pairs((1, -1)):
+        for budget in REVERSAL_BUDGETS:
+            assert (_answer(group_equiv, w, w2, budget=budget)
+                    == _answer(reference, w, w2, budget=budget)), (w, w2, budget)
+
+
+def test_complement_and_pos_equiv_are_one_reversal_of_the_inverse():
+    def numerator(u, v, budget=DEFAULT_BUDGET):
+        return pos_word(_reverse(inverse(u) + v, budget)[0])
+    def empty(u, v, budget=DEFAULT_BUDGET):
+        return _reverse(inverse(u) + v, budget) == ([], [])
+    for u, v in _seeded_word_pairs((1,)):
+        for budget in REVERSAL_BUDGETS:
+            assert (_answer(complement, u, v, budget=budget)
+                    == _answer(numerator, u, v, budget=budget)), (u, v, budget)
+            assert (_answer(pos_equiv, u, v, budget=budget)
+                    == _answer(empty, u, v, budget=budget)), (u, v, budget)
 
 
 def nu(u):

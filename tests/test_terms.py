@@ -12,6 +12,7 @@ from cdcalc import (
     apply_word,
     canonicalize,
     expansions,
+    first_occurrences,
     parse_term,
     partial,
     partial_iter,
@@ -373,6 +374,19 @@ def test_skeletons_sort_as_nested_shapes():
     shapes = one_var_upto(7)
     assert len({skeleton(t) for t in shapes}) == len(shapes)
     assert sorted(shapes, key=skeleton) == sorted(shapes, key=_nested_shape)
+
+
+def test_first_occurrences_keeps_leftmost_order():
+    def seen_set_order(t):  # the reference: a set of the indices met so far
+        seen, out = set(), []
+        for i in variables(t):
+            if i not in seen:
+                seen.add(i)
+                out.append(i)
+        return out
+    assert first_occurrences(x3 * (x1 * (x3 * x2))) == [3, 1, 2]
+    for t in labeled_upto(4, 3):
+        assert first_occurrences(t) == seen_set_order(t), render_term(t)
 
 
 def test_canonicalize_keeps_what_the_renaming_leaves_alone():
