@@ -32,14 +32,12 @@ from .terms import (
     parse_term,
     project,
     render_term,
-    replace,
     right_comb,
     right_height,
     same_spine,
     skeleton,
     spine_profile,
     substitute,
-    subterm,
     variables,
 )
 from .words import (

@@ -23,30 +23,38 @@ from .terms import (
     _walk,
     canonicalize,
     project,
-    replace,
     resolve,
     same_spine,
     skeleton,
-    subterm,
     unify_into,
 )
-from .words import Letter, Word
+from .words import Letter, Word, _letter
 
 
 def apply_letter(t: Term, letter: Letter) -> Optional[Term]:
-    """Apply one signed letter at its address; None when the shape test fails."""
-    s = subterm(t, letter.addr)
-    if s is None or type(s) is Leaf:
+    """Apply one signed letter at its address; None where the address leaves
+    the tree or the shape test fails.  One descent keeps the path, and the
+    rewritten subterm is rebuilt up it, sharing every subterm off the path."""
+    path, s = [], t
+    for bit in letter.addr:
+        if type(s) is Leaf:
+            return None
+        path.append((s, bit))
+        s = s.left if bit == "0" else s.right
+    if type(s) is Leaf:
         return None
+    l, r = s.left, s.right
     if letter.sign > 0:
-        r = s.right
         if type(r) is Leaf:
             return None
-        return replace(t, letter.addr, Node(Node(s.left, r.left), r))
-    l, r = s.left, s.right
-    if type(l) is Leaf or type(r) is Leaf or l.right != r.left:
-        return None
-    return replace(t, letter.addr, Node(l.left, r))
+        out = Node(Node(l, r.left), r)
+    else:
+        if type(l) is Leaf or type(r) is Leaf or l.right != r.left:
+            return None
+        out = Node(l.left, r)
+    for n, bit in reversed(path):
+        out = Node(out, n.right) if bit == "0" else Node(n.left, out)
+    return out
 
 
 def apply_word(t: Term, w: Word) -> Optional[Term]:
@@ -76,15 +84,15 @@ def apply_word_partial(t: Term, w: Word, max_size: Optional[int] = None):
 
 def expansions(t: Term):
     """All one-step expansions of t as (address, result) pairs, addresses in
-    lexicographic order, which is the preorder of the walk."""
+    lexicographic order, which is the preorder of the walk; each result is
+    t under the positive letter at its address."""
     out = []
     stack = [("", t)]
     while stack:
         addr, cur = stack.pop()
         if type(cur) is Node:
             if type(cur.right) is Node:
-                rewritten = Node(Node(cur.left, cur.right.left), cur.right)
-                out.append((addr, replace(t, addr, rewritten)))
+                out.append((addr, apply_letter(t, _letter((addr, 1)))))
             stack.append((addr + "1", cur.right))
             stack.append((addr + "0", cur.left))
     return out

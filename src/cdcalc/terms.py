@@ -132,30 +132,6 @@ def right_height(t: Term) -> int:
     return t.right_height
 
 
-def subterm(t: Term, address: str):
-    """The subterm of t at `address`, or None when the address leaves the tree."""
-    for bit in address:
-        if type(t) is Leaf:
-            return None
-        t = t.left if bit == "0" else t.right
-    return t
-
-
-def replace(t: Term, address: str, s: Term) -> Term:
-    """t with its subterm at `address` replaced by s. The address must be defined."""
-    spine = []
-    cur = t
-    for bit in address:
-        if type(cur) is Leaf:
-            raise ValueError(f"address {address or 'phi'!r} undefined in {render_term(t)}")
-        spine.append((cur, bit))
-        cur = cur.left if bit == "0" else cur.right
-    out = s
-    for node, bit in reversed(spine):
-        out = Node(out, node.right) if bit == "0" else Node(node.left, out)
-    return out
-
-
 def right_comb(p: int) -> Term:
     """The one-variable right comb of size p: x for p = 1, x*(comb of size p-1) after."""
     if p < 1:
@@ -377,6 +353,8 @@ def parse_term(text: str) -> Term:
         c = text[i]
         if c in whitespace:
             i += 1
+        elif not frames and items and c in "(x":
+            raise ParseError("trailing input after complete term", i)
         elif c == "(":
             frames.append(items)
             items = []
@@ -407,10 +385,8 @@ def parse_term(text: str) -> Term:
             i = j
         else:
             raise ParseError(f"unexpected character {c!r}", i)
-        if not frames and len(items) > 1:
-            raise ParseError("trailing input after complete term", i)
     if frames:
         raise ParseError("unclosed '('", n)
-    if len(items) != 1:
+    if not items:
         raise ParseError("empty input", 0)
     return items[0]

@@ -105,6 +105,46 @@ def labeled_upto(n, nvars):
     return [t for k in range(1, n + 1) for t in labeled_terms(k, nvars)]
 
 
+def subterm(t, address):
+    """The subterm of t at `address`, or None when the address leaves the tree."""
+    for bit in address:
+        if type(t) is Leaf:
+            return None
+        t = t.left if bit == "0" else t.right
+    return t
+
+
+def _replace(t, address, s):
+    """t with its subterm at `address`, which must exist, replaced by s."""
+    spine = []
+    cur = t
+    for bit in address:
+        spine.append((cur, bit))
+        cur = cur.left if bit == "0" else cur.right
+    out = s
+    for node, bit in reversed(spine):
+        out = Node(out, node.right) if bit == "0" else Node(node.left, out)
+    return out
+
+
+def reference_apply_letter(t, letter):
+    """apply_letter in two walks: `subterm` finds the subterm at the letter's
+    address, and `_replace` walks the same path again to rebuild t around
+    its rewrite."""
+    s = subterm(t, letter.addr)
+    if s is None or type(s) is Leaf:
+        return None
+    if letter.sign > 0:
+        r = s.right
+        if type(r) is Leaf:
+            return None
+        return _replace(t, letter.addr, Node(Node(s.left, r.left), r))
+    l, r = s.left, s.right
+    if type(l) is Leaf or type(r) is Leaf or l.right != r.left:
+        return None
+    return _replace(t, letter.addr, Node(l.left, r))
+
+
 def is_expansion(s, target):
     """Exact expansion-reachability: positive rewriting strictly grows the
     size, so a breadth-first search capped at target.size is complete."""

@@ -46,6 +46,7 @@ from helpers import (
     one_var_upto,
     pos_words_st,
     random_term,
+    reference_apply_letter,
     reference_iter_expansions,
     reference_trace,
     terms_st,
@@ -68,6 +69,68 @@ def test_apply_letter_inverse_cancels(t, a):
     forward = apply_letter(t, Letter(a, 1))
     if forward is not None:
         assert apply_letter(forward, Letter(a, -1)) == t
+
+
+def _nodes(t):
+    """(address, subterm) at every node of t, leaves included, in preorder,
+    which is the lexicographic order of the addresses."""
+    out, stack = [], [("", t)]
+    while stack:
+        addr, cur = stack.pop()
+        out.append((addr, cur))
+        if type(cur) is Node:
+            stack.append((addr + "1", cur.right))
+            stack.append((addr + "0", cur.left))
+    return out
+
+
+def _differential_terms(rng):
+    randoms = [random_term(rng, rng.randint(8, 14), rng.randint(1, 3)) for _ in range(300)]
+    return one_var_upto(6) + labeled_upto(4, 2) + randoms
+
+
+def _assert_shares_off_the_path(t, letter, image):
+    # every subterm of t that the rewrite keeps is t's own object in the image
+    s, u = t, image
+    for bit in letter.addr:
+        if bit == "0":
+            assert u.right is s.right
+            s, u = s.left, u.left
+        else:
+            assert u.left is s.left
+            s, u = s.right, u.right
+    if letter.sign > 0:  # s0*(s1*s2) -> (s0*s1)*(s1*s2)
+        assert u.left.left is s.left and u.left.right is s.right.left and u.right is s.right
+    else:  # (s0*s1)*(s1*s2) -> s0*(s1*s2)
+        assert u.left is s.left.left and u.right is s.right
+
+
+def test_apply_letter_matches_the_two_walk_reference():
+    # 20 letters of either sign per term, half at the term's own nodes and
+    # half at random addresses of length <= 5
+    rng = random.Random(39)
+    defined = {1: 0, -1: 0}
+    for t in _differential_terms(rng):
+        own = [a for a, _ in _nodes(t)]
+        for k in range(20):
+            if k % 2:
+                addr = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
+            else:
+                addr = rng.choice(own)
+            letter = Letter(addr, rng.choice((1, -1)))
+            image = apply_letter(t, letter)
+            assert image == reference_apply_letter(t, letter), (render_term(t), letter)
+            if image is not None:
+                defined[letter.sign] += 1
+                _assert_shares_off_the_path(t, letter, image)
+    assert min(defined.values()) >= 100, defined
+
+
+def test_expansions_apply_the_positive_letter_at_every_product_right_child():
+    for t in _differential_terms(random.Random(39)):
+        want = [(a, reference_apply_letter(t, Letter(a, 1)))
+                for a, s in _nodes(t) if type(s) is Node and type(s.right) is Node]
+        assert expansions(t) == want, render_term(t)
 
 
 def test_apply_word_examples():

@@ -61,6 +61,39 @@ def test_every_subcommand_answers_in_text(capsys, args, code, result, lines):
     assert capsys.readouterr().out.splitlines() == lines
 
 
+T4 = "(x1 (x1 (x1 x1)))"
+
+# (arguments, exit code, result under --json) of answers no row of CASES
+# gives: the right spine refuting on its stored right heights before any
+# redressing step, partial once answered, a positive trace, whose walk runs
+# no occurs check, oracle at depth 0 on an equal pair and on two distinct
+# terms of one skeleton, and at depth 1 on a pair that is Unknown at depth 0
+# and that the iterated-left-divisor witness refutes after one growth round,
+# and expand's listing to step 2 in (size, skeleton) order within each step
+MORE_CASES = [
+    (["--budget", "0", "decide", T3, "((x1 x1) x1)"], 1, False),
+    (["partial", T3], 0, T3_EXPANDED),
+    (["trace", "1.e.0"], 0,
+     {"left": "(x1 (x2 (x3 x4)))", "right": "(((x1 x2) (x2 x3)) ((x2 x3) (x3 x4)))"}),
+    (["oracle", "--depth", "0", "((x1 x2) x3)", "((x1 x2) x3)"], 0, "Equivalent"),
+    (["oracle", "--depth", "0", "((x1 x2) (x1 x2))", "((x1 x1) (x1 x2))"], 1, "NotEquivalent"),
+    (["oracle", "--depth", "1", "(x1 x1)", "((x1 (x1 x1)) x1)"], 1, "NotEquivalent"),
+    (["expand", "--steps", "2", T4], 0,
+     [{"steps": k, "term": t} for k, t in [
+         (0, T4), (1, "(x1 ((x1 x1) (x1 x1)))"), (1, "((x1 x1) (x1 (x1 x1)))"),
+         (2, "(x1 (((x1 x1) x1) (x1 x1)))"), (2, "((x1 x1) ((x1 x1) (x1 x1)))"),
+         (2, "(((x1 x1) x1) (x1 (x1 x1)))"), (2, "((x1 (x1 x1)) ((x1 x1) (x1 x1)))")]]),
+]
+
+
+@pytest.mark.parametrize("args, code, result", MORE_CASES, ids=[
+    "decide-right-heights", "partial", "trace-positive", "oracle-equal-pair",
+    "oracle-one-skeleton", "oracle-left-divisor", "expand-two-steps"])
+def test_more_answers_in_the_envelope(capsys, args, code, result):
+    assert main(["--json", *args]) == code
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "result": result}
+
+
 def test_every_subcommand_has_a_case():
     (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert set(sub.choices) == {args[0] for args, *_ in CASES}

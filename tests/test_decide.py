@@ -41,7 +41,6 @@ from cdcalc import (
     spine_profile,
     star,
     substitute,
-    subterm,
     variables,
 )
 from cdcalc.cli import main
@@ -57,6 +56,7 @@ from helpers import (
     random_term,
     reference_chi,
     reference_decide,
+    subterm,
     words_st,
 )
 

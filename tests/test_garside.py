@@ -33,7 +33,6 @@ from cdcalc import (
     right_comb,
     right_height,
     shift,
-    subterm,
 )
 from cdcalc.cli import main
 from cdcalc.garside import DEFAULT_MAX_SIZE
@@ -46,6 +45,7 @@ from helpers import (
     reference_delta,
     reference_partial,
     reference_transport,
+    subterm,
 )
 
 x = X
