@@ -16,9 +16,18 @@ rightmost branch, so two right heights compare in O(1).  A leaf's hash
 is set at construction too, but a product's is stored on first use: its
 first hash fills in its own and those of its unhashed subterms, so terms
 that are only built, as Garside expansions mostly are, never pay for
-one.  `parse_term` builds each distinct subterm of its input once: equal
-subterms of one parse are one object, which identity checks and memos
-keyed on terms then hit at once.
+one.
+
+`parse_term` hash-conses across calls.  Equal texts come back as one
+object, without a second scan, and so do equal subterms of the parses
+its table still holds.  The table is one module-level dict: text ->
+term, variable token -> leaf (x1 is `X`), pair of child ids -> product,
+and `words.parse_word`'s (text,) -> word.  An id key stays valid because
+its entry keeps both children alive.  After every parse, failed ones
+included, a table of more than 2**14 entries is replaced by an empty
+one, so at most 2**14 entries outlive a call; it is rebound, not
+cleared, so a parse in progress keeps its own table.  The ceiling counts
+entries, not bytes: a stored text is held whole.
 """
 
 from itertools import chain
@@ -334,17 +343,36 @@ def render_term(t: Term) -> str:
     return "".join(parts)
 
 
+_CEILING = 1 << 14
+_table = {}
+
+
+def _bound_table():
+    """Replace a table holding more than _CEILING entries by an empty one."""
+    global _table
+    if len(_table) > _CEILING:
+        _table = {}
+
+
 def parse_term(text: str) -> Term:
     """Parse the s-expression term grammar: term := var | '(' term term ')',
     var := 'x' [1-9][0-9]*, with any run of ASCII `string.whitespace`
     between tokens; any other character, Unicode spaces included, is unexpected.
 
-    Equal subterms of the input come back as one object: one table per call
-    holds one Leaf per variable and one Node per pair of (already shared)
-    children, keyed by their ids, which stay valid while the table keeps
-    every keyed object alive."""
-    leaves = {}
-    nodes = {}
+    Equal texts come back as one object, and so do equal subterms of the
+    parses the table still holds; after the call, a table of more than
+    2**14 entries is replaced, not cleared (see the module docstring)."""
+    table = _table
+    term = table.get(text)
+    if term is None:
+        try:
+            term = table[text] = _scan_term(text, table)
+        finally:
+            _bound_table()
+    return term
+
+
+def _scan_term(text, table):
     frames = []
     items = []
     i = 0
@@ -365,9 +393,9 @@ def parse_term(text: str) -> Term:
             if len(items) != 2:
                 raise ParseError(f"'(...)' needs exactly 2 subterms, found {len(items)}", i)
             key = (id(items[0]), id(items[1]))
-            node = nodes.get(key)
+            node = table.get(key)
             if node is None:
-                node = nodes[key] = Node(items[0], items[1])
+                node = table[key] = Node(items[0], items[1])
             items = frames.pop()
             items.append(node)
             i += 1
@@ -375,12 +403,12 @@ def parse_term(text: str) -> Term:
             j = i + 1
             while j < n and "0" <= text[j] <= "9":
                 j += 1
-            digits = text[i + 1 : j]
-            if not digits or digits[0] == "0":
+            if j == i + 1 or text[i + 1] == "0":
                 raise ParseError("variable must be 'x' followed by digits without leading zero", i)
-            leaf = leaves.get(digits)
+            token = text[i:j]
+            leaf = table.get(token)
             if leaf is None:
-                leaf = leaves[digits] = Leaf(int(digits))
+                leaf = table[token] = X if token == "x1" else Leaf(int(token[1:]))
             items.append(leaf)
             i = j
         else:

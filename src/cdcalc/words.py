@@ -17,6 +17,7 @@ from itertools import repeat
 from string import whitespace
 from typing import NamedTuple
 
+from . import terms
 from .errors import ParseError
 
 
@@ -61,6 +62,23 @@ def render_word(w: Word) -> str:
 
 
 def parse_word(text: str) -> Word:
+    """Parse the word grammar: `eps`, or letters joined by dots, a letter
+    being an optional `-` and then `e` or a nonempty 01-string, with ASCII
+    `string.whitespace` allowed around the whole word and nowhere else.
+
+    A chunk between dots that is not a letter raises ParseError("bad letter
+    ..."), at the chunk's position in the input, leading whitespace counted.
+    Equal texts come back as one tuple, stored in `terms`' bounded table
+    under the key (text,), apart from its term texts and id pairs."""
+    key = (text,)
+    word = terms._table.get(key)
+    if word is None:
+        word = terms._table[key] = _scan_word(text)
+        terms._bound_table()
+    return word
+
+
+def _scan_word(text):
     pos = len(text) - len(text.lstrip(whitespace))  # error positions count from the input
     text = text.strip(whitespace)
     if text == "eps":
@@ -70,7 +88,7 @@ def parse_word(text: str) -> Word:
         sign, body = (-1, chunk[1:]) if chunk.startswith("-") else (1, chunk)
         if body == "e":
             addr = ""
-        elif body and all(c in "01" for c in body):
+        elif body and not body.strip("01"):
             addr = body
         else:
             raise ParseError(f"bad letter {chunk!r}", pos)

@@ -1,6 +1,7 @@
 """Shared enumerations, oracles, lemma checkers, and hypothesis strategies."""
 
 from functools import lru_cache
+from string import whitespace
 
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from cdcalc import (
     Leaf,
     Letter,
     Node,
+    ParseError,
     SizeLimitExceeded,
     StepBudgetExceeded,
     Trace,
@@ -103,6 +105,98 @@ def labeled_terms(n, nvars):
 
 def labeled_upto(n, nvars):
     return [t for k in range(1, n + 1) for t in labeled_terms(k, nvars)]
+
+
+def reference_parse_term(text):
+    """parse_term with tables of its own for one call: one Leaf per variable
+    and one Node per pair of child ids, shared within this parse only."""
+    leaves = {}
+    nodes = {}
+    frames = []
+    items = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c in whitespace:
+            i += 1
+        elif not frames and items and c in "(x":
+            raise ParseError("trailing input after complete term", i)
+        elif c == "(":
+            frames.append(items)
+            items = []
+            i += 1
+        elif c == ")":
+            if not frames:
+                raise ParseError("unmatched ')'", i)
+            if len(items) != 2:
+                raise ParseError(f"'(...)' needs exactly 2 subterms, found {len(items)}", i)
+            key = (id(items[0]), id(items[1]))
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = Node(items[0], items[1])
+            items = frames.pop()
+            items.append(node)
+            i += 1
+        elif c == "x":
+            j = i + 1
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            digits = text[i + 1 : j]
+            if not digits or digits[0] == "0":
+                raise ParseError("variable must be 'x' followed by digits without leading zero", i)
+            leaf = leaves.get(digits)
+            if leaf is None:
+                leaf = leaves[digits] = Leaf(int(digits))
+            items.append(leaf)
+            i = j
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    if frames:
+        raise ParseError("unclosed '('", n)
+    if not items:
+        raise ParseError("empty input", 0)
+    return items[0]
+
+
+def reference_parse_word(text):
+    """parse_word with no table, checking each letter's body one character
+    at a time."""
+    pos = len(text) - len(text.lstrip(whitespace))
+    text = text.strip(whitespace)
+    if text == "eps":
+        return ()
+    letters = []
+    for chunk in text.split("."):
+        sign, body = (-1, chunk[1:]) if chunk.startswith("-") else (1, chunk)
+        if body == "e":
+            addr = ""
+        elif body and all(c in "01" for c in body):
+            addr = body
+        else:
+            raise ParseError(f"bad letter {chunk!r}", pos)
+        letters.append(Letter(addr, sign))
+        pos += len(chunk) + 1
+    return tuple(letters)
+
+
+def mutate(rng, text, alphabet):
+    """text with one character of `alphabet` inserted or put in place of
+    one of text's, or with one of text's deleted, at a random position."""
+    i = rng.randint(0, len(text))
+    c = rng.choice(alphabet)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:i] + c + text[i:]
+    return text[:i] + ("" if kind == 1 else c) + text[i + 1 :]
+
+
+def parse_outcome(parse, text):
+    """("ok", parse(text)), or ("error", message, position) of its ParseError."""
+    try:
+        return "ok", parse(text)
+    except ParseError as err:
+        return "error", str(err), err.position
 
 
 def subterm(t, address):

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 
 import pytest
@@ -25,6 +26,7 @@ from cdcalc import (
     trace,
     variables,
 )
+from cdcalc import terms
 from cdcalc.cli import main
 from cdcalc.terms import resolve, unify_into
 from helpers import (
@@ -35,7 +37,11 @@ from helpers import (
     labeled_upto,
     left_iter,
     match,
+    mutate,
     one_var_upto,
+    parse_outcome,
+    random_term,
+    reference_parse_term,
     terms_st,
     unify,
     words_st,
@@ -146,6 +152,53 @@ def test_a_parse_holds_each_distinct_subterm_once(t):
     parsed = parse_term(render_term(t))
     subterms = list(_subterms(parsed))
     assert len({id(s) for s in subterms}) == len(set(subterms))
+
+
+def test_two_parses_of_one_text_are_one_object(monkeypatch):
+    # an empty table, so that no replacement falls between the two parses
+    monkeypatch.setattr(terms, "_table", {})
+    for text in ("x1", "x12", "((x1 x2) (x1 x2))", " (x3\t(x1 x1)) "):
+        assert parse_term(text) is parse_term(text)
+    assert parse_term("x1") is terms.X
+    assert parse_term("(x2 x1)").right is terms.X
+
+
+def test_equal_subterms_of_two_texts_are_one_object(monkeypatch):
+    monkeypatch.setattr(terms, "_table", {})
+    t = parse_term("((x1 x2) (x3 x4))")
+    t2 = parse_term("(x5 ((x3 x4) (x1 x2)))")
+    assert t2.right.left is t.right and t2.right.right is t.left
+    assert parse_term("(x1  x2)") is t.left
+
+
+def test_the_parse_table_keeps_its_ceiling():
+    text = render_term(right_comb(2**15))
+    assert parse_term(text) == right_comb(2**15)
+    assert len(terms._table) <= 2**14
+    with pytest.raises(ParseError, match="unmatched"):
+        parse_term(text + ")")
+    assert len(terms._table) <= 2**14
+
+
+def test_parse_term_matches_the_per_call_reference():
+    # valid texts with varied spacing, then each mutated by up to three
+    # character edits, and a resample so that stored texts are read again
+    rng = random.Random(40)
+    texts = []
+    for _ in range(600):
+        text = render_term(random_term(rng, rng.randint(1, 12), rng.choice((1, 3, 12))))
+        text = "".join(rng.choice((" ", "\t", "  ", "\n ")) if c == " " else c for c in text)
+        texts.append(text)
+        for _ in range(rng.randint(1, 3)):
+            text = mutate(rng, text, "()x0123 \t\u3000y")
+            texts.append(text)
+    texts += rng.sample(texts, 400)
+    oks = 0
+    for text in texts:
+        got = parse_outcome(parse_term, text)
+        assert got == parse_outcome(reference_parse_term, text), text
+        oks += got[0] == "ok"
+    assert 800 < oks < len(texts) - 800
 
 
 def _assert_max_var(t):

@@ -1,13 +1,17 @@
+import random
+
 import pytest
 from hypothesis import given
 
 from cdcalc import (
+    Leaf,
     Letter,
     ParseError,
     chi,
     complement,
     delta,
     inverse,
+    parse_term,
     parse_word,
     pos_word,
     positive_addresses,
@@ -15,7 +19,15 @@ from cdcalc import (
     render_word,
     shift,
 )
-from helpers import cd_relations, one_var_upto, words_st
+from cdcalc import terms
+from helpers import (
+    cd_relations,
+    mutate,
+    one_var_upto,
+    parse_outcome,
+    reference_parse_word,
+    words_st,
+)
 
 
 def test_parse_and_render():
@@ -50,6 +62,49 @@ def test_parse_word_strips_only_ascii_whitespace(space):
             parse_word(text)
         assert str(err.value) == f"bad letter {letter!r} (at position {position})"
     assert parse_word("\t1.e\n") == parse_word(" \r\n1.e\x0b\x0c") == pos_word(["1", ""])
+
+
+def test_two_parses_of_one_text_are_one_word(monkeypatch):
+    monkeypatch.setattr(terms, "_table", {})
+    for text in ("1.e.0", " -1.01\t", "e"):
+        assert parse_word(text) is parse_word(text)
+
+
+def test_one_table_keeps_word_and_term_texts_apart():
+    assert parse_term("x1") == Leaf(1) and parse_word("1") == (Letter("1", 1),)
+    with pytest.raises(ParseError, match="bad letter 'x1'"):
+        parse_word("x1")
+    with pytest.raises(ParseError, match="unexpected character '1'"):
+        parse_term("1")
+
+
+def test_parse_word_keeps_the_shared_table_within_its_ceiling():
+    for k in range(2**14 + 2):
+        assert parse_word(format(k, "b")) == (Letter(format(k, "b"), 1),)
+    assert len(terms._table) <= 2**14
+
+
+def test_parse_word_matches_the_reference():
+    # rendered words with ASCII spacing around them, then each mutated by up
+    # to three character edits, and a resample so stored texts are read again
+    rng = random.Random(40)
+    texts = []
+    for _ in range(600):
+        letters = [(format(rng.randrange(2**k), f"0{k}b") if k else "", rng.choice((1, -1)))
+                   for k in (rng.randint(0, 4) for _ in range(rng.randint(0, 5)))]
+        text = render_word(tuple(Letter(*letter) for letter in letters))
+        text = rng.choice(("", " ", "\t\n")) + text + rng.choice(("", " ", "\r\n"))
+        texts.append(text)
+        for _ in range(rng.randint(1, 3)):
+            text = mutate(rng, text, "01e-.ps \tx\u3000")
+            texts.append(text)
+    texts += rng.sample(texts, 400)
+    oks = 0
+    for text in texts:
+        got = parse_outcome(parse_word, text)
+        assert got == parse_outcome(reference_parse_word, text), text
+        oks += got[0] == "ok"
+    assert 800 < oks < len(texts) - 800
 
 
 @given(words_st)
