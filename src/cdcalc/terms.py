@@ -18,16 +18,16 @@ first hash fills in its own and those of its unhashed subterms, so terms
 that are only built, as Garside expansions mostly are, never pay for
 one.
 
-`parse_term` hash-conses across calls.  Equal texts come back as one
-object, without a second scan, and so do equal subterms of the parses
-its table still holds.  The table is one module-level dict: text ->
-term, variable token -> leaf (x1 is `X`), pair of child ids -> product,
-and `words.parse_word`'s (text,) -> word.  An id key stays valid because
-its entry keeps both children alive.  After every parse, failed ones
-included, a table of more than 2**14 entries is replaced by an empty
-one, so at most 2**14 entries outlive a call; it is rebound, not
-cleared, so a parse in progress keeps its own table.  The ceiling counts
-entries, not bytes: a stored text is held whole.
+`parse_term` and `words.parse_word` intern what they parse, through
+`_intern`, in one module-level table: a term text maps to its term, a
+word text t, under the key (t,), to its word, a variable token to its
+leaf (x1 is `X`) and a pair of child ids to their product, whose entry
+keeps both children alive, so the ids stay valid.  Equal texts come back
+as one object without a second scan, and equal subterms of the parses
+the table still holds are one object.  After every scan, failed ones
+included, the table is emptied in place if it holds more than
+_MAX_ENTRIES = 2**14 entries, or if the texts scanned since it was last
+emptied, stored or not, hold more than _MAX_CHARS = 2**20 characters.
 """
 
 from itertools import chain
@@ -343,40 +343,42 @@ def render_term(t: Term) -> str:
     return "".join(parts)
 
 
-_CEILING = 1 << 14
+_MAX_ENTRIES = 1 << 14
+_MAX_CHARS = 1 << 20
 _table = {}
+_chars = 0  # characters of the texts scanned since _table was last emptied
 
 
-def _bound_table():
-    """Replace a table holding more than _CEILING entries by an empty one."""
-    global _table
-    if len(_table) > _CEILING:
-        _table = {}
+def _intern(key, text, scan):
+    """The value stored under `key`, or else scan(text), stored under `key`;
+    after a scan, failed ones included, the table is emptied if it is past
+    either bound (see the module docstring)."""
+    global _chars
+    value = _table.get(key)
+    if value is None:
+        try:
+            value = _table[key] = scan(text)
+        finally:
+            _chars += len(text)
+            if _chars > _MAX_CHARS or len(_table) > _MAX_ENTRIES:
+                _table.clear()
+                _chars = 0
+    return value
 
 
 def parse_term(text: str) -> Term:
     """Parse the s-expression term grammar: term := var | '(' term term ')',
     var := 'x' [1-9][0-9]*, with any run of ASCII `string.whitespace`
     between tokens; any other character, Unicode spaces included, is unexpected.
+    An index of more digits than int() converts is a ParseError at its 'x'.
 
-    Equal texts come back as one object, and so do equal subterms of the
-    parses the table still holds; after the call, a table of more than
-    2**14 entries is replaced, not cleared (see the module docstring)."""
-    table = _table
-    term = table.get(text)
-    if term is None:
-        try:
-            term = table[text] = _scan_term(text, table)
-        finally:
-            _bound_table()
-    return term
+    Equal texts, and equal subterms of the parses the table still holds,
+    come back as one object (see the module docstring)."""
+    return _intern(text, text, _scan_term)
 
 
-def _scan_term(text, table):
-    frames = []
-    items = []
-    i = 0
-    n = len(text)
+def _scan_term(text):
+    frames, items, i, n = [], [], 0, len(text)
     while i < n:
         c = text[i]
         if c in whitespace:
@@ -393,9 +395,9 @@ def _scan_term(text, table):
             if len(items) != 2:
                 raise ParseError(f"'(...)' needs exactly 2 subterms, found {len(items)}", i)
             key = (id(items[0]), id(items[1]))
-            node = table.get(key)
+            node = _table.get(key)
             if node is None:
-                node = table[key] = Node(items[0], items[1])
+                node = _table[key] = Node(items[0], items[1])
             items = frames.pop()
             items.append(node)
             i += 1
@@ -406,9 +408,12 @@ def _scan_term(text, table):
             if j == i + 1 or text[i + 1] == "0":
                 raise ParseError("variable must be 'x' followed by digits without leading zero", i)
             token = text[i:j]
-            leaf = table.get(token)
+            leaf = _table.get(token)
             if leaf is None:
-                leaf = table[token] = X if token == "x1" else Leaf(int(token[1:]))
+                try:
+                    leaf = _table[token] = X if token == "x1" else Leaf(int(token[1:]))
+                except ValueError:  # more digits than int() converts
+                    raise ParseError("variable index has too many digits", i) from None
             items.append(leaf)
             i = j
         else:

@@ -17,8 +17,8 @@ from itertools import repeat
 from string import whitespace
 from typing import NamedTuple
 
-from . import terms
 from .errors import ParseError
+from .terms import _intern
 
 
 class Letter(NamedTuple):
@@ -68,14 +68,9 @@ def parse_word(text: str) -> Word:
 
     A chunk between dots that is not a letter raises ParseError("bad letter
     ..."), at the chunk's position in the input, leading whitespace counted.
-    Equal texts come back as one tuple, stored in `terms`' bounded table
-    under the key (text,), apart from its term texts and id pairs."""
-    key = (text,)
-    word = terms._table.get(key)
-    if word is None:
-        word = terms._table[key] = _scan_word(text)
-        terms._bound_table()
-    return word
+    Equal texts come back as one tuple, interned under the key (text,) in
+    the table that the `terms` module docstring describes."""
+    return _intern((text,), text, _scan_word)
 
 
 def _scan_word(text):

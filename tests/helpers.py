@@ -37,6 +37,7 @@ from cdcalc import (
     star,
     variables,
 )
+from cdcalc import terms
 from cdcalc.garside import DEFAULT_MAX_SIZE
 from cdcalc.redress import DEFAULT_BUDGET
 from cdcalc.terms import resolve, unify_into
@@ -107,6 +108,12 @@ def labeled_upto(n, nvars):
     return [t for k in range(1, n + 1) for t in labeled_terms(k, nvars)]
 
 
+def empty_parse_table(monkeypatch):
+    """An empty parse table with no characters counted, for one test."""
+    monkeypatch.setattr(terms, "_table", {})
+    monkeypatch.setattr(terms, "_chars", 0)
+
+
 def reference_parse_term(text):
     """parse_term with tables of its own for one call: one Leaf per variable
     and one Node per pair of child ids, shared within this parse only."""
@@ -147,7 +154,10 @@ def reference_parse_term(text):
                 raise ParseError("variable must be 'x' followed by digits without leading zero", i)
             leaf = leaves.get(digits)
             if leaf is None:
-                leaf = leaves[digits] = Leaf(int(digits))
+                try:
+                    leaf = leaves[digits] = Leaf(int(digits))
+                except ValueError:
+                    raise ParseError("variable index has too many digits", i) from None
             items.append(leaf)
             i = j
         else:

@@ -144,6 +144,8 @@ def test_a_leading_inverse_letter_needs_a_separator(capsys):
      "partial grew past 5 leaves: its finished parts hold 8"),
     (["--max-size", "3", "apply", "(x1 (x1 x1))", "e"],
      "term grew past 3 leaves at letter 1 of 1"),
+    # int() converts at most 4300 digits by default
+    (["decide", "x" + "1" * 5000, "x1"], "variable index has too many digits (at position 0)"),
 ])
 def test_ceilings_end_in_the_error_envelope(capsys, args, error):
     assert main(["--json", *args]) == 2

@@ -30,6 +30,7 @@ from cdcalc import terms
 from cdcalc.cli import main
 from cdcalc.terms import resolve, unify_into
 from helpers import (
+    empty_parse_table,
     injective_upto,
     is_canonical,
     is_injective,
@@ -70,10 +71,12 @@ PARSE_ERRORS = {  # input: (message, position), trailing input failing where it 
     "(x1 x2))": ("unmatched ')'", 7),
     "y1": ("unexpected character 'y'", 0),
     "(x1 x1) (x1 x1)": (TRAILING, 8),
+    "x" + "1" * 5000: ("variable index has too many digits", 0),  # past int()'s 4300
 }
 
 
-@pytest.mark.parametrize("bad", list(PARSE_ERRORS))
+@pytest.mark.parametrize("bad", list(PARSE_ERRORS),
+                         ids=lambda bad: bad if len(bad) < 40 else f"{bad[:4]}...{len(bad)} chars")
 def test_parse_errors(bad):
     message, position = PARSE_ERRORS[bad]
     with pytest.raises(ParseError) as err:
@@ -155,8 +158,8 @@ def test_a_parse_holds_each_distinct_subterm_once(t):
 
 
 def test_two_parses_of_one_text_are_one_object(monkeypatch):
-    # an empty table, so that no replacement falls between the two parses
-    monkeypatch.setattr(terms, "_table", {})
+    # an empty table, so that it is not emptied between the two parses
+    empty_parse_table(monkeypatch)
     for text in ("x1", "x12", "((x1 x2) (x1 x2))", " (x3\t(x1 x1)) "):
         assert parse_term(text) is parse_term(text)
     assert parse_term("x1") is terms.X
@@ -164,20 +167,45 @@ def test_two_parses_of_one_text_are_one_object(monkeypatch):
 
 
 def test_equal_subterms_of_two_texts_are_one_object(monkeypatch):
-    monkeypatch.setattr(terms, "_table", {})
+    empty_parse_table(monkeypatch)
     t = parse_term("((x1 x2) (x3 x4))")
     t2 = parse_term("(x5 ((x3 x4) (x1 x2)))")
     assert t2.right.left is t.right and t2.right.right is t.left
     assert parse_term("(x1  x2)") is t.left
 
 
-def test_the_parse_table_keeps_its_ceiling():
+def test_the_parse_table_keeps_its_ceiling(monkeypatch):
+    # 2**15 products, in one parse and then in one that fails at its end
     text = render_term(right_comb(2**15))
     assert parse_term(text) == right_comb(2**15)
-    assert len(terms._table) <= 2**14
+    assert len(terms._table) <= terms._MAX_ENTRIES
     with pytest.raises(ParseError, match="unmatched"):
         parse_term(text + ")")
-    assert len(terms._table) <= 2**14
+    assert len(terms._table) <= terms._MAX_ENTRIES
+    # failed parses count their characters: each of these stores only its
+    # two leaves, one of a distinct 4,000-digit index, and 400 of them hold
+    # more text than the bound
+    empty_parse_table(monkeypatch)
+    for k in range(1, 401):
+        with pytest.raises(ParseError, match="unclosed"):
+            parse_term(f"(x{k}{'0' * 4000} x1")
+        assert sum(len(key) for key in terms._table if type(key) is str) <= terms._MAX_CHARS
+    assert k * 4000 > terms._MAX_CHARS
+
+
+def test_the_parse_table_keeps_its_character_bound():
+    # 200 distinct 14-level doubling towers, t = t * t from Leaf(k), ~82 KB
+    # of text but 16 entries each: held whole under the entry bound alone,
+    # their texts would reach 20 MiB
+    tower = Leaf(1)
+    for _ in range(14):
+        tower = tower * tower
+    text = render_term(tower)
+    for k in range(1, 201):
+        t = parse_term(text.replace("x1", f"x{k}"))
+        assert t.size == 2**14 and t.max_var == k
+        held = sum(len(key) for key in terms._table if type(key) is str and key[0] == "(")
+        assert held <= terms._MAX_CHARS
 
 
 def test_parse_term_matches_the_per_call_reference():

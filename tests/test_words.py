@@ -22,6 +22,7 @@ from cdcalc import (
 from cdcalc import terms
 from helpers import (
     cd_relations,
+    empty_parse_table,
     mutate,
     one_var_upto,
     parse_outcome,
@@ -65,7 +66,7 @@ def test_parse_word_strips_only_ascii_whitespace(space):
 
 
 def test_two_parses_of_one_text_are_one_word(monkeypatch):
-    monkeypatch.setattr(terms, "_table", {})
+    empty_parse_table(monkeypatch)
     for text in ("1.e.0", " -1.01\t", "e"):
         assert parse_word(text) is parse_word(text)
 
@@ -78,10 +79,24 @@ def test_one_table_keeps_word_and_term_texts_apart():
         parse_term("1")
 
 
-def test_parse_word_keeps_the_shared_table_within_its_ceiling():
+def test_parse_word_keeps_the_shared_table_within_its_ceiling(monkeypatch):
     for k in range(2**14 + 2):
         assert parse_word(format(k, "b")) == (Letter(format(k, "b"), 1),)
-    assert len(terms._table) <= 2**14
+    assert len(terms._table) <= terms._MAX_ENTRIES
+    # 400 distinct one-letter texts of 4,000 characters hold more than the
+    # character bound
+    for k in range(400):
+        text = format(k, "b").rjust(4000, "1")
+        assert parse_word(text) == (Letter(text, 1),)
+        held = sum(len(key[0]) for key in terms._table if type(key) is tuple and type(key[0]) is str)
+        assert held <= terms._MAX_CHARS
+    # a failed parse counts too: its characters take the table past the bound
+    empty_parse_table(monkeypatch)
+    stored = parse_word("1" * (terms._MAX_CHARS - 10))
+    assert parse_word("1" * (terms._MAX_CHARS - 10)) is stored
+    with pytest.raises(ParseError, match="bad letter"):
+        parse_word("2" * 20)
+    assert not terms._table
 
 
 def test_parse_word_matches_the_reference():
