@@ -21,13 +21,17 @@ one.
 `parse_term` and `words.parse_word` intern what they parse, through
 `_intern`, in one module-level table: a term text maps to its term, a
 word text t, under the key (t,), to its word, a variable token to its
-leaf (x1 is `X`) and a pair of child ids to their product, whose entry
-keeps both children alive, so the ids stay valid.  Equal texts come back
-as one object without a second scan, and equal subterms of the parses
-the table still holds are one object.  After every scan, failed ones
-included, the table is emptied in place if it holds more than
-_MAX_ENTRIES = 2**14 entries, or if the texts scanned since it was last
-emptied, stored or not, hold more than _MAX_CHARS = 2**20 characters.
+leaf (x1 is `X`), the int id(left) << 64 | id(right) to the product of
+left and right, and (sign, addr) to the `Letter` of that address and
+sign, through `_shared`.  A product key is one int, injective since an
+id is below 2**64, and it stays valid because the product it maps to
+keeps both children alive.  Equal texts come back as one object without
+a second scan; equal subterms of the parses the table still holds are
+one object, and so are equal letters of the words it still holds.
+After every scan, failed ones included, the table is emptied in place if
+it holds more than _MAX_ENTRIES = 2**14 entries, letters, leaves and
+products counted, or if the texts scanned since it was last emptied,
+stored or not, hold more than _MAX_CHARS = 2**20 characters.
 """
 
 from itertools import chain
@@ -366,6 +370,16 @@ def _intern(key, text, scan):
     return value
 
 
+def _shared(key, make, arg):
+    """The value stored under `key`, or else make(arg), stored under `key`,
+    for a scan's parts: it checks no bound and counts no characters, since
+    `_intern` does both once the scan ends."""
+    value = _table.get(key)
+    if value is None:
+        value = _table[key] = make(arg)
+    return value
+
+
 def parse_term(text: str) -> Term:
     """Parse the s-expression term grammar: term := var | '(' term term ')',
     var := 'x' [1-9][0-9]*, with any run of ASCII `string.whitespace`
@@ -394,7 +408,7 @@ def _scan_term(text):
                 raise ParseError("unmatched ')'", i)
             if len(items) != 2:
                 raise ParseError(f"'(...)' needs exactly 2 subterms, found {len(items)}", i)
-            key = (id(items[0]), id(items[1]))
+            key = id(items[0]) << 64 | id(items[1])
             node = _table.get(key)
             if node is None:
                 node = _table[key] = Node(items[0], items[1])

@@ -18,7 +18,7 @@ from string import whitespace
 from typing import NamedTuple
 
 from .errors import ParseError
-from .terms import _intern
+from .terms import _intern, _shared
 
 
 class Letter(NamedTuple):
@@ -68,8 +68,8 @@ def parse_word(text: str) -> Word:
 
     A chunk between dots that is not a letter raises ParseError("bad letter
     ..."), at the chunk's position in the input, leading whitespace counted.
-    Equal texts come back as one tuple, interned under the key (text,) in
-    the table that the `terms` module docstring describes."""
+    Equal texts come back as one tuple and equal letters as one `Letter`,
+    interned in the table that the `terms` module docstring describes."""
     return _intern((text,), text, _scan_word)
 
 
@@ -87,6 +87,6 @@ def _scan_word(text):
             addr = body
         else:
             raise ParseError(f"bad letter {chunk!r}", pos)
-        letters.append(_letter((addr, sign)))
+        letters.append(_shared((sign, addr), _letter, (addr, sign)))
         pos += len(chunk) + 1
     return tuple(letters)

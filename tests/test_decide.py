@@ -19,6 +19,7 @@ from cdcalc import (
     StepBudgetExceeded,
     Verdict,
     apply_letter,
+    apply_word,
     canonicalize,
     chi,
     classify,
@@ -517,6 +518,49 @@ def test_budget_errors_report_the_same_progress():
     with pytest.raises(StepBudgetExceeded) as err:
         compare(t, t2, budget=10**4)
     assert str(err.value) == stopped
+
+
+# Pairs r24-96 and r24-56 of the seed-61 decide-random benchmark corpus.
+# With r24-86 they are labelled "?" there, since the oracle leaves them
+# Unknown, and they take most of that corpus's query time.
+R24_96 = (
+    "(((((x1 (x1 x1)) (x1 (x1 x1))) x1) ((x1 x1) ((x1 x1) (x1 x1)))) "
+    "(((x1 x1) (x1 x1)) (x1 ((x1 x1) ((x1 x1) (x1 x1))))))",
+    "((x1 (x1 ((((x1 (x1 (x1 x1))) x1) (x1 (x1 x1))) x1))) "
+    "(((x1 x1) (x1 (x1 x1))) ((x1 (x1 x1)) ((x1 x1) (x1 (x1 x1))))))",
+)
+R24_56 = (
+    "((x1 (((x1 x1) (x1 x1)) (x1 (x1 x1)))) "
+    "((((x1 (x1 (x1 x1))) x1) (((x1 x1) x1) (x1 x1))) ((x1 x1) ((x1 x1) (x1 x1)))))",
+    "((((x1 (x1 (x1 (x1 x1)))) (((x1 x1) x1) (x1 x1))) ((x1 x1) ((x1 (x1 x1)) x1))) "
+    "(((x1 x1) x1) ((x1 x1) (x1 (x1 x1)))))",
+)
+
+
+def _decided_at_its_edge(t, t2, edge):
+    """decide(t, t2) is True at budget `edge`, the most steps any one level
+    needs, and runs out of budget one step below it; the top level's
+    fraction, redressed within `edge` steps, takes both comb-extended terms
+    to one term."""
+    assert decide(t, t2, budget=edge) is True
+    with pytest.raises(StepBudgetExceeded):
+        decide(t, t2, budget=edge - 1)
+    fraction = redress(inverse(chi(t)) + chi(t2), budget=edge)
+    comb = right_comb(max(t.size, t2.size))
+    a, b = apply_word(Node(t, comb), fraction.num), apply_word(Node(t2, comb), fraction.den)
+    assert a is not None and a == b
+
+
+@pytest.mark.parametrize("pair, edge", [(R24_86, 14_806), (R24_96, 7_473), (R24_56, 1_097)],
+                         ids=["r24-86", "r24-96", "r24-56"])
+def test_the_heaviest_unlabelled_corpus_pairs_are_equivalent(pair, edge):
+    # r24-86 is the corpus's budget failure at 10^4 steps
+    _decided_at_its_edge(*map(parse_term, pair), edge)
+
+
+@pytest.mark.parametrize("p, edge", zip(range(3, 10), (4, 17, 55, 154, 409, 1_086, 2_954)))
+def test_a_comb_and_its_partial_are_equivalent_at_their_budget_edge(p, edge):
+    _decided_at_its_edge(right_comb(p), partial(right_comb(p)), edge)
 
 
 def test_a_deep_left_comb_decides_in_linear_memory():

@@ -6,7 +6,9 @@ from hypothesis import given
 from cdcalc import (
     Leaf,
     Letter,
+    Node,
     ParseError,
+    Term,
     chi,
     complement,
     delta,
@@ -71,6 +73,53 @@ def test_two_parses_of_one_text_are_one_word(monkeypatch):
         assert parse_word(text) is parse_word(text)
 
 
+def test_two_words_that_share_a_letter_share_its_object(monkeypatch):
+    empty_parse_table(monkeypatch)
+    u, v = parse_word("1.-10.e"), parse_word(" e.0.1.-10.1")
+    assert v[0] is u[2] and v[2] is u[0] is v[4] and v[3] is u[1]
+    assert all(type(l) is Letter for l in u + v)
+    assert parse_word("-1")[0] is not u[0] and parse_word("10")[0] is not u[1]
+
+
+def test_a_word_parsed_again_after_the_table_is_emptied_is_equal(monkeypatch):
+    empty_parse_table(monkeypatch)
+    text = "1.-10.e.1"
+    before = parse_word(text)
+    terms._table.clear()
+    after = parse_word(text)
+    assert after == before == (Letter("1", 1), Letter("10", -1), Letter("", 1), Letter("1", 1))
+    assert after is not before and after[0] is not before[0] and after[0] is after[3]
+
+
+def test_each_kind_of_key_keeps_to_its_own_values(monkeypatch):
+    # term texts and variable tokens are strs, word texts 1-tuples, letters
+    # (sign, addr) pairs and products one int of their two child ids, so a
+    # text read as a term, as a word and as a letter's address stays apart
+    empty_parse_table(monkeypatch)
+    t = parse_term("((x1 x2) x1)")
+    w = parse_word("e.-0.0")
+    assert parse_word("0") == (Letter("0", 1),) and parse_word("-0") == (Letter("0", -1),)
+    for text in ("0", "-0", "e.-0.0"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_term(text)
+    with pytest.raises(ParseError, match="bad letter"):
+        parse_word("x1")
+    assert terms._table["((x1 x2) x1)"] is t and terms._table["x1"] is terms.X
+    assert terms._table[("e.-0.0",)] is w and terms._table[("0",)] is not w
+    assert terms._table[(1, "")] is w[0] and terms._table[(-1, "0")] is w[1]
+    assert terms._table[(1, "0")] is w[2] is parse_word("0")[0]
+    for key, value in terms._table.items():
+        if type(key) is str:
+            assert isinstance(value, Term)
+        elif type(key) is int:
+            assert type(value) is Node and key == id(value.left) << 64 | id(value.right)
+        elif len(key) == 1:
+            assert value is parse_word(key[0])
+        else:
+            assert type(value) is Letter and key == (value.sign, value.addr)
+    assert len(terms._table) == 11
+
+
 def test_one_table_keeps_word_and_term_texts_apart():
     assert parse_term("x1") == Leaf(1) and parse_word("1") == (Letter("1", 1),)
     with pytest.raises(ParseError, match="bad letter 'x1'"):
@@ -83,6 +132,12 @@ def test_parse_word_keeps_the_shared_table_within_its_ceiling(monkeypatch):
     for k in range(2**14 + 2):
         assert parse_word(format(k, "b")) == (Letter(format(k, "b"), 1),)
     assert len(terms._table) <= terms._MAX_ENTRIES
+    # letters count as entries: one word of 2**14 + 1 distinct letters, in
+    # under 2**18 characters, takes the table past the entry bound alone
+    empty_parse_table(monkeypatch)
+    addrs = [format(k, "b") for k in range(2**14 + 1)]
+    assert parse_word(".".join(addrs)) == pos_word(addrs)
+    assert not terms._table and terms._chars == 0
     # 400 distinct one-letter texts of 4,000 characters hold more than the
     # character bound
     for k in range(400):
