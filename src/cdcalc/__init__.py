@@ -18,7 +18,7 @@ from .action import (
     trace,
 )
 from .blueprint import chi, star
-from .decide import Classification, Comparison, classify, compare, decide, dil
+from .decide import Classification, classify, compare, decide, dil
 from .errors import ParseError, SizeLimitExceeded, StepBudgetExceeded
 from .freesystem import Coset, coset_eq, coset_mul, coset_of_term
 from .garside import delta, delta_transport, lcm, partial, partial_iter

@@ -100,7 +100,8 @@ def expansions(t: Term):
 
 def iter_expansions(t: Term, steps: int):
     """Yield (step count, term) for every distinct expansion reachable from t
-    in at most `steps` positive rewrites, breadth first."""
+    in at most `steps` positive rewrites, breadth first; a round that finds
+    no new skeleton ends the walk."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     key = skeleton(t)
@@ -109,6 +110,8 @@ def iter_expansions(t: Term, steps: int):
     for k in range(1, steps + 1):
         # a skeleton is 2 * size - 1 long: this is the (size, skeleton) order
         level = sorted(_grow(closure, level), key=lambda shape: (len(shape), shape))
+        if not level:
+            return
         for key in level:
             yield k, closure[key]
 

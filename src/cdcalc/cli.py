@@ -21,7 +21,7 @@ import sys
 
 from .action import Verdict, apply_word_partial, iter_expansions, oracle_equiv, trace
 from .blueprint import chi
-from .decide import classify, compare, decide, dil
+from .decide import Classification, classify, compare, decide, dil
 from .errors import SizeLimitExceeded, StepBudgetExceeded
 from .garside import DEFAULT_MAX_SIZE, delta, lcm, partial_iter
 from .redress import DEFAULT_BUDGET, complement, group_equiv, pos_equiv, redress
@@ -85,6 +85,10 @@ _ARGUMENTS = {
     "--steps": {"type": int, "required": True, "help": "maximum rewrite steps"},
 }
 
+# compare's class in the words of the order
+_ORDER = {Classification.P_PLUS: "Less", Classification.P_ZERO: "Equal",
+          Classification.P_MINUS: "Greater"}
+
 # name: (arguments, help, answer); answer(args) -> (exit code, json result, text lines)
 COMMANDS = {
     "decide": ("T T2", "are two terms equivalent under the identity",
@@ -112,7 +116,7 @@ COMMANDS = {
     "classify": ("W", "P_minus / P_zero / P_plus class of a word",
                  lambda a: _out(classify(pw(a.W), budget=a.budget).value)),
     "compare": ("T T2", "Less / Equal / Greater under iterated left division (one-variable)",
-                lambda a: _out(compare(pt(a.T), pt(a.T2), budget=a.budget).value)),
+                lambda a: _out(_ORDER[compare(pt(a.T), pt(a.T2), budget=a.budget)])),
     "oracle": ("T T2 --depth", "brute-force equivalence search", _oracle),
     "expand": ("T --steps", "enumerate expansions within a step bound", _expand),
 }

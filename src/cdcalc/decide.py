@@ -6,7 +6,11 @@ left^dil(i,u) of the image.  Only letters at addresses 0^p with p < i
 deepen the left spine.  Comparing dil(1, -) of the numerator and denominator
 of a redressed word is invariant under equivalence and classifies group
 elements into P_minus / P_zero / P_plus; the blueprint difference of two
-one-variable terms lies in P_zero exactly when they are equivalent.
+one-variable terms lies in P_zero exactly when they are equivalent, and in
+P_plus exactly when the first is a proper iterated left divisor of the
+second, which is the order `compare` returns.  `_class` is the one place
+that reads a fraction's class: `classify`, `compare`, every level of
+`decide`'s sweep and `freesystem.coset_eq` all go through it.
 
 `decide` answers every term-equivalence question along one pipeline: a
 right-spine reject, in O(1) on one-variable pairs, which compares the
@@ -57,14 +61,20 @@ class Classification(enum.Enum):
     P_PLUS = "P_plus"
 
 
-def classify(w: Word, budget: int = DEFAULT_BUDGET) -> Classification:
-    """Compare dil(1, -) of the denominator and numerator of w's fraction,
-    read off the address lists that `_reverse` returns."""
-    num, den = _reverse(w, budget)
+def _class(num, den) -> Classification:
+    """The class of the fraction num.den^-1, given as the address lists of
+    its numerator and denominator: P_PLUS when dil(1, -) of den is below
+    that of num, P_ZERO when the two are equal, P_MINUS otherwise."""
     d, n = _dil(1, den), _dil(1, num)
     if d == n:
         return Classification.P_ZERO
     return Classification.P_PLUS if d < n else Classification.P_MINUS
+
+
+def classify(w: Word, budget: int = DEFAULT_BUDGET) -> Classification:
+    """The class of w's fraction, read off the address lists that
+    `_reverse` returns."""
+    return _class(*_reverse(w, budget))
 
 
 def decide(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
@@ -117,11 +127,10 @@ def decide(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
     (address, sign) pair made once at its final address (see
     `blueprint._difference`), so no word is copied on its way to
     redressing.  Fractions stay address lists until the certificate: the
-    P_zero test compares dil(1, -) of each level's numerator and
-    denominator, read off those lists, and only the top level's become
-    words of Letters, for the certificate below.  `budget` bounds each
-    level's redressing; a budget error names the level and how many
-    redressed levels below it were found in P_zero.
+    P_zero test reads each level's class off those lists through `_class`,
+    and only the top level's become words of Letters, for the certificate
+    below.  `budget` bounds each level's redressing; a budget error names
+    the level and how many redressed levels below it were found in P_zero.
 
     When every level passes, extend both terms by one tall right comb, apply
     the top level's fraction numerator on one side and denominator on the
@@ -157,7 +166,7 @@ def decide(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
             raise StepBudgetExceeded(
                 f"{exc}; at right-spine level {j} of {h}, after {k - 1 - j} levels "
                 f"found P_zero") from exc
-        if _dil(1, num) != _dil(1, den):
+        if _class(num, den) is not Classification.P_ZERO:
             return False
     comb = right_comb(max(t.size, t2.size))
     a = apply_word(Node(t, comb), pos_word(num))
@@ -166,19 +175,11 @@ def decide(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
     return a == b
 
 
-class Comparison(enum.Enum):
-    LESS = "Less"
-    EQUAL = "Equal"
-    GREATER = "Greater"
-
-
-def compare(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> Comparison:
-    """Trichotomy of one-variable terms under iterated left division:
-    LESS means t is a proper iterated left divisor of t2.  The blueprint
-    difference chi(t)^-1.chi(t2) is emitted letter by letter into one list
-    and classified."""
-    c = classify(_difference(t, t2), budget=budget)
-    if c is Classification.P_ZERO:
-        return Comparison.EQUAL
-    return Comparison.LESS if c is Classification.P_PLUS else Comparison.GREATER
-
+def compare(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> Classification:
+    """The class of the blueprint difference chi(t)^-1.chi(t2) of two
+    one-variable terms, emitted letter by letter into one list.  It orders
+    the free system of rank 1 under iterated left division: P_PLUS means t
+    is a proper iterated left divisor of t2, P_ZERO means t and t2 are
+    equivalent, and P_MINUS means t2 is a proper iterated left divisor of
+    t."""
+    return classify(_difference(t, t2), budget)

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from .action import Verdict
 from .blueprint import chi, star
-from .decide import _dil, decide
+from .decide import Classification, _class, decide
 from .redress import DEFAULT_BUDGET, _reverse
 from .terms import Node, Term
 from .words import Word, inverse
@@ -63,6 +63,6 @@ def coset_eq(a: Coset, b: Coset) -> Verdict:
     num, den = _reverse(reduced, DEFAULT_BUDGET)
     if all(addr.startswith("0") for addr in num + den):
         return Verdict.EQUIVALENT
-    if _dil(1, num) != _dil(1, den):
+    if _class(num, den) is not Classification.P_ZERO:
         return Verdict.NOT_EQUIVALENT
     return Verdict.UNKNOWN

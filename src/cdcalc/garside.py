@@ -199,11 +199,14 @@ def partial(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Term:
 
 
 def partial_iter(t: Term, n: int, max_size: int = DEFAULT_MAX_SIZE) -> Term:
-    """n-fold iteration of partial.  Tower-exponential: keep n small."""
+    """n-fold iteration of partial.  Tower-exponential: keep n small.  A
+    term that is its own partial, a left comb or a leaf, ends the loop."""
     if n < 0:
         raise ValueError("iteration count must be >= 0")
     for _ in range(n):
-        t = partial(t, max_size=max_size)
+        t, prev = partial(t, max_size=max_size), t
+        if t is prev:
+            break
     return t
 
 

@@ -51,11 +51,10 @@ class Term:
     def __eq__(self, other):
         """Literal equality, in the size of the two terms' DAGs.  One walk
         over pairs of subterms skips an identical pair and a pair already
-        met in this call, and rejects on type, on the stored size, on a
-        leaf's index, and on the hashes where both sides have one.  The
-        first unequal pair ends the walk, so a pair met before is equal or
-        still being compared, and shared subterms are compared once, not
-        once per path to them."""
+        met in this call, and rejects on type, on the stored size and on a
+        leaf's index.  The first unequal pair ends the walk, so a pair met
+        before is equal or still being compared, and shared subterms are
+        compared once, not once per path to them."""
         if not isinstance(other, Term):
             return NotImplemented
         seen = set()
@@ -70,9 +69,6 @@ class Term:
                 if a.index != b.index:
                     return False
                 continue
-            ha, hb = a._hash, b._hash
-            if ha != hb and ha is not None and hb is not None:
-                return False
             key = (id(a), id(b))
             if key not in seen:
                 seen.add(key)

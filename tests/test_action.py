@@ -158,6 +158,18 @@ def test_iter_expansions_bfs():
     assert len([k for k, _ in out if k == 2]) == 1
 
 
+def test_iter_expansions_stops_when_a_round_adds_nothing(monkeypatch):
+    calls, grow = [], cdcalc.action._grow
+
+    def counted(closure, frontier):
+        calls.append(len(frontier))
+        return grow(closure, frontier)
+
+    monkeypatch.setattr(cdcalc.action, "_grow", counted)
+    t = parse_term("((x1 x1) x1)")
+    assert list(iter_expansions(t, 10**6)) == [(0, t)] and calls == [1]
+
+
 def test_iter_expansions_matches_the_term_set_reference():
     # the skeleton-keyed closure lists what the set of terms lists, in order
     for t in one_var_upto(6) + labeled_upto(3, 2):

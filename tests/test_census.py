@@ -12,10 +12,10 @@ import sys
 from collections import Counter
 from functools import cmp_to_key, lru_cache
 
-from cdcalc import Comparison, Verdict, compare, decide, oracle_equiv
+from cdcalc import Classification, Verdict, compare, decide, oracle_equiv
 from helpers import one_var_upto
 
-_SIGN = {Comparison.LESS: -1, Comparison.EQUAL: 0, Comparison.GREATER: 1}
+_SIGN = {Classification.P_PLUS: -1, Classification.P_ZERO: 0, Classification.P_MINUS: 1}
 
 
 @lru_cache(maxsize=None)
@@ -53,7 +53,7 @@ def test_each_class_has_one_least_member_and_the_classes_increase():
     for c, m in zip(classes, least):
         assert [t.size for t in c].count(m.size) == 1
     for t, t2 in zip(least, least[1:]):
-        assert compare(t, t2) is Comparison.LESS
+        assert compare(t, t2) is Classification.P_PLUS
 
 
 def test_the_classes_are_the_pairwise_decide_partition():

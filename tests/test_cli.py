@@ -39,6 +39,8 @@ CASES = [
     (["dil", "1", "e"], 0, 2, ["2"]),
     (["classify", "--", "-e.0"], 0, "P_minus", ["P_minus"]),
     (["compare", "(x1 x1)", "((x1 x1) x1)"], 0, "Less", ["Less"]),
+    (["compare", "(x1 x1)", "(x1 x1)"], 0, "Equal", ["Equal"]),
+    (["compare", "((x1 x1) x1)", "(x1 x1)"], 0, "Greater", ["Greater"]),
     (["oracle", "--depth", "1", T3, T3_EXPANDED], 0, "Equivalent", ["Equivalent"]),
     (["oracle", "--depth", "1", "(x1 x2)", "(x2 x1)"], 1, "NotEquivalent", ["NotEquivalent"]),
     (["oracle", "--depth", "0", T3, T3_EXPANDED], 3, "Unknown", ["Unknown"]),

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 
 from cdcalc import (
     Classification,
-    Comparison,
     Leaf,
     Letter,
     Node,
@@ -589,10 +588,10 @@ def test_a_deep_left_comb_decides_in_linear_memory():
 
 
 def test_compare_examples():
-    assert compare(x, x * x) is Comparison.LESS
-    assert compare(x * x, x) is Comparison.GREATER
+    assert compare(x, x * x) is Classification.P_PLUS
+    assert compare(x * x, x) is Classification.P_MINUS
     for t in one_var_upto(4):
-        assert compare(t, t) is Comparison.EQUAL
+        assert compare(t, t) is Classification.P_ZERO
     with pytest.raises(ValueError):
         compare(Leaf(2), x)
 
@@ -602,17 +601,16 @@ def test_compare_trichotomy_and_transitivity():
     for t in terms:
         for t2 in terms:
             c, c2 = compare(t, t2), compare(t2, t)
-            flips = {Comparison.LESS: Comparison.GREATER,
-                     Comparison.GREATER: Comparison.LESS,
-                     Comparison.EQUAL: Comparison.EQUAL}
+            flips = {Classification.P_PLUS: Classification.P_MINUS,
+                     Classification.P_MINUS: Classification.P_PLUS,
+                     Classification.P_ZERO: Classification.P_ZERO}
             assert c2 is flips[c]
-            assert (c is Comparison.EQUAL) == decide(t, t2)
-    order = {Comparison.LESS: -1, Comparison.EQUAL: 0, Comparison.GREATER: 1}
+            assert (c is Classification.P_ZERO) == decide(t, t2)
     for a in terms:
         for b in terms:
             for c in terms:
-                if compare(a, b) is Comparison.LESS and compare(b, c) is Comparison.LESS:
-                    assert compare(a, c) is Comparison.LESS
+                if compare(a, b) is Classification.P_PLUS and compare(b, c) is Classification.P_PLUS:
+                    assert compare(a, c) is Classification.P_PLUS
 
 
 def test_left_divisors_are_strictly_smaller():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import cdcalc
 from cdcalc import (
     Letter,
     Node,
@@ -166,6 +167,30 @@ def test_partial_examples():
     assert big == quad * quad
     assert partial_iter(x * (x * x), 0) == x * (x * x)
     assert partial_iter(x * (x * x), 2) == partial(partial(x * (x * x)))
+
+
+def test_partial_iter_stops_at_a_fixed_point(monkeypatch):
+    # a left comb is its own partial, so one pass answers any n
+    calls, original = [], partial
+    garside = sys.modules["cdcalc.garside"]
+
+    def counted(t, max_size):
+        calls.append(t)
+        return original(t, max_size=max_size)
+
+    monkeypatch.setattr(garside, "partial", counted)
+    for t in (parse_term("(((x1 x1) x1) x1)"), x):
+        calls.clear()
+        assert partial_iter(t, 10**6) is t and calls == [t]
+
+
+def test_perfbench_patch_points_are_the_library_functions():
+    # perfbench/traced.py swaps these module globals for traced stand-ins
+    # that call the package's own functions
+    garside, redress = sys.modules["cdcalc.garside"], sys.modules["cdcalc.redress"]
+    for module, name in [(garside, "delta"), (garside, "apply_word"),
+                         (garside, "complement"), (redress, "complement")]:
+        assert getattr(module, name) is getattr(cdcalc, name), (module.__name__, name)
 
 
 def test_partial_size_ceiling():

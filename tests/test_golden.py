@@ -31,7 +31,7 @@ from cdcalc import (
     render_word as rw,
     trace,
 )
-from cdcalc.cli import COMMANDS, main
+from cdcalc.cli import _ORDER, COMMANDS, main
 from helpers import cd_relations, labeled_upto, one_var_upto
 
 _HELP = re.split(r"^### (.*)\n", (Path(__file__).parent / "help_texts.txt").read_text(),
@@ -68,7 +68,7 @@ def _answers():
     for t in one_var:
         yield f"chi {rt(t)}: {rw(chi(t))}"
         for t2 in one_var:
-            yield f"compare {rt(t)} {rt(t2)}: {compare(t, t2).value}"
+            yield f"compare {rt(t)} {rt(t2)}: {_ORDER[compare(t, t2)]}"
     for t in terms:
         yield f"delta {rt(t)}: {rw(delta(t))}"
         yield f"partial2 {rt(t)}: {rt(partial_iter(t, 2))}"
