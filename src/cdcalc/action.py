@@ -28,15 +28,16 @@ from .terms import (
     skeleton,
     unify_into,
 )
-from .words import Letter, Word, _letter
+from .words import Word
 
 
-def apply_letter(t: Term, letter: Letter) -> Optional[Term]:
-    """Apply one signed letter at its address; None where the address leaves
-    the tree or the shape test fails.  One descent keeps the path, and the
-    rewritten subterm is rebuilt up it, sharing every subterm off the path."""
+def apply_letter(t: Term, letter: tuple) -> Optional[Term]:
+    """Apply one signed letter, an (address, sign) pair, at its address; None
+    where the address leaves the tree or the shape test fails.  One descent
+    keeps the path, and the rewritten subterm is rebuilt up it, sharing
+    every subterm off the path."""
     path, s = [], t
-    for bit in letter.addr:
+    for bit in letter[0]:
         if type(s) is Leaf:
             return None
         path.append((s, bit))
@@ -44,7 +45,7 @@ def apply_letter(t: Term, letter: Letter) -> Optional[Term]:
     if type(s) is Leaf:
         return None
     l, r = s.left, s.right
-    if letter.sign > 0:
+    if letter[1] > 0:
         if type(r) is Leaf:
             return None
         out = Node(Node(l, r.left), r)
@@ -92,7 +93,7 @@ def expansions(t: Term):
         addr, cur = stack.pop()
         if type(cur) is Node:
             if type(cur.right) is Node:
-                out.append((addr, apply_letter(t, _letter((addr, 1)))))
+                out.append((addr, apply_letter(t, (addr, 1))))
             stack.append((addr + "1", cur.right))
             stack.append((addr + "0", cur.left))
     return out
@@ -161,12 +162,12 @@ def trace(w: Word) -> Optional[Trace]:
             subst[t.index] = t = Node(Leaf(next(fresh)), Leaf(next(fresh)))
         return t
 
-    for letter in w:
+    for addr, sign in w:
         path, s = [], node(right)
-        for bit in letter.addr:
+        for bit in addr:
             path.append((s, bit))
             s = node(s.left if bit == "0" else s.right)
-        if letter.sign > 0:
+        if sign > 0:
             r = node(s.right)
             right = Node(Node(s.left, r.left), r)
         else:

@@ -65,7 +65,7 @@ from .action import apply_letter, apply_word
 from .errors import SizeLimitExceeded
 from .redress import DEFAULT_BUDGET, complement
 from .terms import Node, Term, render_term
-from .words import Word, _letter, pos_word, positive_addresses, render_word
+from .words import Word, pos_word, positive_addresses, render_word
 
 DEFAULT_MAX_SIZE = 10**6
 
@@ -92,8 +92,8 @@ def delta(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Word:
     every positive letter adds at least one leaf, so len(delta(t)) <=
     size(partial t) - size(t).
     """
-    # Preorder over spreads, leaves skipped: each letter is built once, at
-    # its final address, and nothing is kept but the output.  s_0 is walked
+    # Preorder over spreads, leaves skipped: each letter's address is built
+    # once, in full, and nothing is kept but the output.  s_0 is walked
     # next and the other spreads wait on the stack.
     out, stack = [], []
     lst, i, prefix = [t], 0, ""
@@ -107,7 +107,7 @@ def delta(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Word:
             if len(out) + h - 1 > max_size:
                 raise SizeLimitExceeded(
                     f"delta grew past {max_size} letters, so its expansion passes {max_size} leaves")
-            out.extend([_letter((prefix + "1" * k, 1)) for k in range(h - 2, -1, -1)])
+            out.extend([prefix + "1" * k for k in range(h - 2, -1, -1)])
             # s_{h-1} = l_{h-1} may be a leaf; the other spreads are products
             if type(spine[-1]) is Node:
                 stack.append((spine, h - 1, prefix + "1" * (h - 1) + "0"))
@@ -115,7 +115,7 @@ def delta(t: Term, max_size: int = DEFAULT_MAX_SIZE) -> Word:
                 stack.extend([(spine, k, prefix + "1" * k + "0") for k in range(h - 2, 0, -1)])
         elif h == 0 or type(spine[0]) is not Node:
             if not stack:
-                return tuple(out)
+                return pos_word(out)
             lst, i, prefix = stack.pop()
             continue
         lst, i, prefix = spine, 0, prefix + "0"
@@ -267,7 +267,7 @@ def delta_transport(t: Term, u: Word) -> Word:
         raise ValueError(f"word {render_word(u)} does not apply to {render_term(t)}")
     out = []
     for n, letter in enumerate(u, 1):
-        if not _transport(t, letter.addr, out):
+        if not _transport(t, letter[0], out):
             raise SizeLimitExceeded(
                 f"delta_transport grew past {DEFAULT_MAX_SIZE} letters on letter {n} of "
                 f"{len(u)}: {len(out)} letters built")

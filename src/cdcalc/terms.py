@@ -4,8 +4,12 @@ A term is either a variable x1, x2, ... or a product t0*t1 of two terms.
 Nodes are located by addresses: strings over {0, 1}, read left to right
 from the root ("" is the root, "0" the left subterm, "1" the right one).
 
-All values are immutable, and every function is pure but `unify_into`,
-which extends its caller's binding store in place.  Traversals are
+Three kinds of state are written, and no equality, hash value or
+rendering depends on any of them.  `unify_into` extends its caller's
+binding store in place.  A product stores its hash on first use (below),
+the value a fresh computation would give.  And `parse_term` and
+`words.parse_word` write the module table below, which decides only which
+object a parse returns.  Every other function is pure.  Traversals are
 iterative, and derived values such as skeletons are flat strings, so very
 deep terms (left combs of ~10^6 leaves) never recurse, in Python or in C.
 

@@ -5,6 +5,13 @@ together with a sign.  A word is a plain tuple of letters, so concatenation
 is tuple addition and the empty word is ().  No free reduction is ever
 performed implicitly.
 
+Every function that takes a word reads each letter as an (address, sign)
+pair, by unpacking or by index, so plain pairs do as well as `Letter`s.
+`Letter` is that pair with its two fields named, `addr` and `sign`, and
+every letter a function builds is one: the words the library returns are
+tuples of `Letter`s, but `lcm` and `star` begin theirs with their first
+argument's letters as given.
+
 Text format: `eps` for the empty word, otherwise letters joined by dots;
 a letter is an optional `-` followed by `e` (the root) or a 01-string,
 e.g. `1.e.0` and `-1` for the inverse of the letter at address 1.  ASCII
@@ -40,9 +47,9 @@ def pos_word(addresses) -> Word:
 
 def positive_addresses(w: Word):
     """The address sequence of a positive word; rejects negative letters."""
-    if not all([l.sign > 0 for l in w]):
+    if not all([sign > 0 for _, sign in w]):
         raise ValueError(f"expected a positive word, got {render_word(w)}")
-    return tuple([l.addr for l in w])
+    return tuple([addr for addr, _ in w])
 
 
 def inverse(w: Word) -> Word:
@@ -58,7 +65,7 @@ def shift(gamma: str, w: Word) -> Word:
 def render_word(w: Word) -> str:
     if not w:
         return "eps"
-    return ".".join(("-" if l.sign < 0 else "") + (l.addr or "e") for l in w)
+    return ".".join([("-" if sign < 0 else "") + (addr or "e") for addr, sign in w])
 
 
 def parse_word(text: str) -> Word:

@@ -48,7 +48,18 @@ CASES = [
      [{"steps": 0, "term": T3}, {"steps": 1, "term": T3_EXPANDED}],
      [f"0: {T3}", f"1: {T3_EXPANDED}"]),
 ]
-IDS = [f"{c[0][0]}-{c[1]}" for c in CASES]
+# each row's test id, its command and exit code, with a word more where two
+# rows share both: fixed per row, so that a new row renames no older test
+IDS = ["decide-0", "decide-1", "apply-0", "apply-1", "trace-0-positive", "trace-0-negative",
+       "trace-1", "redress-0", "posequiv-0", "posequiv-1", "groupequiv-0", "groupequiv-1",
+       "complement-0", "lcm-0", "delta-0", "partial-0", "chi-0", "dil-0", "classify-0",
+       "compare-0-less", "compare-0-equal", "compare-0-greater", "oracle-0", "oracle-1",
+       "oracle-3", "expand-0"]
+
+
+def test_every_case_has_its_own_id():
+    assert len(set(IDS)) == len(IDS) == len(CASES)
+    assert all(i.startswith(f"{args[0]}-{code}") for i, (args, code, *_) in zip(IDS, CASES))
 
 
 @pytest.mark.parametrize("args, code, result, lines", CASES, ids=IDS)

@@ -1,11 +1,13 @@
 """Golden pins: the CLI's help texts byte for byte, and one digest over the
-rendered answers of the library on small exhaustive inputs.
+rendered answers of the library on small exhaustive inputs, and a second
+digest over the answers the first one leaves out.
 
-A change that should keep every answer must leave both unchanged.  A change
-that means to alter an answer updates the pin and names the answer that
-moved.  `tests/help_texts.txt` holds the help texts at 80 columns, each
-after a `### cdcalc ...` header line; Python 3.13 wraps the usage line of
-`cdcalc --help` differently, so that text has a second variant.
+A change that should keep every answer must leave all three unchanged.
+A change that means to alter an answer updates the pin and names the
+answer that moved.  `tests/help_texts.txt` holds the help texts at 80
+columns, each after a `### cdcalc ...` header line; Python 3.13 wraps the
+usage line of `cdcalc --help` differently, so that text has a second
+variant.
 """
 
 import hashlib
@@ -17,15 +19,22 @@ import pytest
 
 from cdcalc import (
     chi,
+    classify,
     compare,
+    complement,
     decide,
     delta,
+    delta_transport,
+    dil,
+    expansions,
+    group_equiv,
     inverse,
     iter_expansions,
     lcm,
     oracle_equiv,
     partial_iter,
     pos_equiv,
+    pos_word,
     redress,
     render_term as rt,
     render_word as rw,
@@ -39,6 +48,7 @@ _HELP = re.split(r"^### (.*)\n", (Path(__file__).parent / "help_texts.txt").read
 HELP_TEXTS = dict(zip(_HELP[::2], _HELP[1::2]))
 
 ANSWERS_SHA256 = "a8a0697bee95e9766b15daaeb0451441bc4133f5aefd026fdca628e3b18a1916"
+MORE_ANSWERS_SHA256 = "b693c93ca754c05df28fd62046e15bd50ba9b3cba80179762355fb897e8073d3"
 
 
 @pytest.mark.parametrize("command", [None, *COMMANDS])
@@ -85,3 +95,24 @@ def test_answers_are_unchanged():
     assert len(lines) == 2 * 45 * 45 + 23 + 23 * 23 + 3 * 45 + 4 * 57
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ANSWERS_SHA256
+
+
+def _more_answers():
+    # the words of delta_transport, which its own tests check only up to
+    # pos_equiv, on every applicable positive word of one or two letters
+    for t in one_var_upto(5) + labeled_upto(3, 2):
+        for a, e in expansions(t):
+            for u in [pos_word([a]), *[pos_word([a, b]) for b, _ in expansions(e)]]:
+                yield f"transport {rt(t)} {rw(u)}: {rw(delta_transport(t, u))}"
+    for u, v in cd_relations(1):
+        yield f"complement {rw(u)} {rw(v)}: {rw(complement(u, v))}"
+        yield f"groupequiv {rw(u)} {rw(v)}: {group_equiv(u, v)}"
+        yield f"classify -({rw(u)}).{rw(v)}: {classify(inverse(u) + v).value}"
+        yield f"dil 1 {rw(u)}: {dil(1, u)} ; dil 2 {rw(v)}: {dil(2, v)}"
+
+
+def test_more_answers_are_unchanged():
+    lines = list(_more_answers())
+    assert len(lines) == 98 + 4 * 57
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == MORE_ANSWERS_SHA256

@@ -4,27 +4,43 @@ import pytest
 from hypothesis import given
 
 from cdcalc import (
+    Coset,
     Leaf,
     Letter,
     Node,
     ParseError,
     Term,
+    apply_letter,
+    apply_word,
+    apply_word_partial,
     chi,
+    classify,
     complement,
+    coset_eq,
+    coset_mul,
     delta,
+    delta_transport,
+    dil,
+    expansions,
+    group_equiv,
     inverse,
+    lcm,
     parse_term,
     parse_word,
+    pos_equiv,
     pos_word,
     positive_addresses,
     redress,
     render_word,
     shift,
+    star,
+    trace,
 )
 from cdcalc import terms
 from helpers import (
     cd_relations,
     empty_parse_table,
+    labeled_upto,
     mutate,
     one_var_upto,
     parse_outcome,
@@ -217,5 +233,81 @@ def test_every_word_is_made_of_letters():
         words += [fraction.num, fraction.den, complement(u, v), shift("1", u)]
     for t in one_var_upto(5):
         words += [chi(t), delta(t)]
+    assert sum(map(len, words)) > 250
+    assert all(type(l) is Letter for w in words for l in w)
+
+
+def _plain(w):
+    return tuple(map(tuple, w))
+
+
+def _signed_words(n):
+    rng = random.Random(45)
+    addresses = ["", "0", "1", "00", "01", "10", "11", "110"]
+    return [tuple(Letter(rng.choice(addresses), rng.choice((1, -1)))
+                  for _ in range(rng.randint(0, 7))) for _ in range(n)]
+
+
+def test_every_function_reads_a_letter_as_a_pair():
+    # each of the 19 public functions that take a word answers alike on
+    # Letters and on plain (address, sign) pairs
+    relations = cd_relations(1)
+    for u, v in relations:
+        pu, pv = _plain(u), _plain(v)
+        assert positive_addresses(pu) == positive_addresses(u)
+        assert (dil(1, pu), dil(2, pv)) == (dil(1, u), dil(2, v))
+        assert complement(pu, pv) == complement(u, v)
+        assert pos_equiv(pu, pv) == pos_equiv(u, v)
+        assert lcm(pu, pv) == lcm(u, v)
+    signed = _signed_words(40) + [inverse(u) + v for u, v in relations]
+    for w, w2 in zip(signed, signed[1:]):
+        p, p2 = _plain(w), _plain(w2)
+        assert render_word(p) == render_word(w)
+        assert redress(p) == redress(w)
+        assert classify(p) is classify(w)
+        assert group_equiv(p, p2) == group_equiv(w, w2)
+        assert inverse(p) == inverse(w)
+        assert shift("10", p) == shift("10", w)
+        assert star(p, p2) == star(w, w2)
+        assert trace(p) == trace(w)
+        assert coset_eq(Coset(p), Coset(p2)) is coset_eq(Coset(w), Coset(w2))
+        assert coset_mul(Coset(p), Coset(p2)) == coset_mul(Coset(w), Coset(w2))
+    applied = 0
+    for t in one_var_upto(5) + labeled_upto(3, 2):
+        words = list(signed)
+        for a, e in expansions(t):
+            for u in [pos_word([a]), *[pos_word([a, b]) for b, _ in expansions(e)]]:
+                assert delta_transport(t, _plain(u)) == delta_transport(t, u)
+                words += [u, u + inverse(u)]
+        for w in words:
+            p = _plain(w)
+            assert [apply_letter(t, l) for l in p] == [apply_letter(t, l) for l in w]
+            assert apply_word(t, p) == apply_word(t, w)
+            assert apply_word_partial(t, p) == apply_word_partial(t, w)
+            applied += apply_word(t, w) is not None
+    assert applied > 300
+
+
+@pytest.mark.parametrize("call", [
+    positive_addresses, lambda w: dil(1, w), lambda w: complement(w, ()),
+    lambda w: pos_equiv((), w), lambda w: lcm(w, ()),
+    lambda w: delta_transport(parse_term("(x1 (x1 x1))"), w),
+], ids=["positive_addresses", "dil", "complement", "pos_equiv", "lcm", "delta_transport"])
+def test_a_negative_plain_letter_is_refused_by_name(call):
+    with pytest.raises(ValueError, match=r"^expected a positive word, got -e$"):
+        call((("", -1),))
+
+
+def test_every_word_built_from_plain_pairs_is_made_of_letters():
+    # callers read .addr and .sign off the words the library returns, so
+    # every letter it builds is a Letter, whatever its input letters were;
+    # the functions that take no word are checked above
+    t = parse_term("(x1 (x1 (x1 x1)))")
+    words = [delta_transport(t, _plain(pos_word(["1", ""])))]
+    for u, v in cd_relations(1):
+        pu, pv = _plain(u), _plain(v)
+        fraction = redress(_plain(inverse(u) + v))
+        words += [inverse(pu), shift("1", pu), complement(pu, pv), fraction.num,
+                  fraction.den, lcm(u, v), lcm(pu, pv)[len(pu):]]
     assert sum(map(len, words)) > 250
     assert all(type(l) is Letter for w in words for l in w)
