@@ -29,6 +29,7 @@ from .terms import (
     Term,
     canonicalize,
     first_occurrences,
+    normal_form,
     parse_term,
     project,
     render_term,

@@ -68,9 +68,10 @@ def apply_word_partial(t: Term, w: Word, max_size: Optional[int] = None):
 
     With `max_size`, raise SizeLimitExceeded when an intermediate term
     passes it.  Unlike the Garside functions, this defaults to no ceiling,
-    the library's one unbounded mode: `decide`'s certificate applies
-    fractions to comb-extended terms, and comb_20 against partial(comb_20)
-    puts 2 x 524,288 = 1,048,576 leaves under the root, past 10^6."""
+    the library's one unbounded mode: `decide`'s certificate for pairs of
+    several variables applies fractions to comb-extended terms, and a pair
+    whose projections are comb_20 and partial(comb_20) puts
+    2 x 524,288 = 1,048,576 leaves under the root, past 10^6."""
     done = 0
     for letter in w:
         nxt = apply_letter(t, letter)

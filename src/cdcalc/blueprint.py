@@ -20,7 +20,7 @@ PHI = pos_word([""])  # the single-letter word acting at the root
 def star(u: Word, v: Word) -> Word:
     """u * v = u . 1v . phi . 1v^-1, on arbitrary signed words."""
     lifted = shift("1", v)
-    return u + lifted + PHI + inverse(lifted)
+    return tuple(map(_letter, u)) + lifted + PHI + inverse(lifted)
 
 
 def _emit(t: Term, sign: int, out: list) -> None:

@@ -8,8 +8,8 @@ for yes/success, 1 for a mathematical "no" or an undefined partial result,
 2 for any operational error (bad syntax, violated precondition, exceeded
 ceiling), 3 for an Unknown verdict of the depth-bounded `oracle`.  The
 ceilings `--max-size` and `--budget` must be >= 0.  `--budget` bounds each
-redressing on its own; `decide` redresses at most once per right-spine
-level.  `--json` wraps every answer in the stable envelope
+redressing on its own; `decide` redresses at most once, and only a pair
+of several variables.  `--json` wraps every answer in the stable envelope
 {"ok": bool, "result": ...} on stdout.  A word that starts with an inverse
 letter needs `--` before it, as in `cdcalc trace -- -e`, or it is read as
 an option.

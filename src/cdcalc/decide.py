@@ -1,4 +1,4 @@
-"""Decision procedures built on the dilation invariant.
+"""Decision procedures built on the dilation invariant and the normal form.
 
 dil(i, u) tracks how a positive word u moves the i-th iterated left
 subterm: applying u to t sends left^i(t) to an expansion sitting at
@@ -9,19 +9,20 @@ elements into P_minus / P_zero / P_plus; the blueprint difference of two
 one-variable terms lies in P_zero exactly when they are equivalent, and in
 P_plus exactly when the first is a proper iterated left divisor of the
 second, which is the order `compare` returns.  `_class` is the one place
-that reads a fraction's class: `classify`, `compare`, every level of
-`decide`'s sweep and `freesystem.coset_eq` all go through it.
+that reads a fraction's class: `classify`, `compare` and
+`freesystem.coset_eq` all go through it.
 
-`decide` answers every term-equivalence question along one pipeline: a
-right-spine reject, in O(1) on one-variable pairs, which compares the
-right heights and `max_var` stored in each term, and in O(n) on others,
-after the same O(1) height comparison; a bottom-path reject on the
-one-variable projections, at one comparison of stored right heights per
-step of the bottom path; then one sweep up the right spine of the
-projections, from the deepest level that differs to the top, which refutes
-at the first level whose blueprint difference is not in P_zero, and one
-literal comparison of the expansions the top level's fraction builds.
-Neither reject builds or redresses a blueprint difference.
+`decide` answers every term-equivalence question along one pipeline of
+five steps.  (1) A right-spine reject, in O(1) on one-variable pairs,
+which compares the right heights and `max_var` stored in each term, and
+in O(n) on others, after the same O(1) height comparison.  (2) A
+bottom-path reject on the one-variable projections, at one comparison of
+stored right heights per step of the bottom path.  (3) The normal forms of
+the two projections, built together by `terms._normal_forms`: if they are
+not one object, "no".  (4) On a one-variable pair, "yes".  (5) On a pair of
+several variables, one redressing of the top level's blueprint difference
+and one literal comparison of the expansions its fraction builds.  Neither
+reject builds a normal form, and no one-variable pair is redressed.
 """
 
 import enum
@@ -30,7 +31,7 @@ from .action import apply_word
 from .blueprint import _difference
 from .errors import StepBudgetExceeded
 from .redress import DEFAULT_BUDGET, _reverse
-from .terms import Node, Term, project, right_comb, same_spine
+from .terms import Node, Term, _normal_forms, project, right_comb, same_spine
 from .words import Word, pos_word, positive_addresses
 
 
@@ -109,37 +110,56 @@ def decide(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
     go down the two right spines to the next bottom factors.  It runs
     before any blueprint difference is built.
 
-    Otherwise sweep the iterated right subterms q_k, q2_k of the
-    projections (level 0 is the term, level h its rightmost leaf) from the
-    bottom up.  The same cases show that every letter keeps
-    each level k up to equivalence: a letter at 1^j with j < k keeps its
-    right subterm s1*s2, which holds level k, literally; a letter inside
-    the left factor of a level j < k leaves level k alone; and any other
-    letter acts on level k as one letter.  So equivalent terms have
-    equivalent, and projection-equivalent, right subterms at every level,
-    and a level whose blueprint difference chi(q_k)^-1.chi(q2_k) is not in
-    P_zero refutes the pair.  The deeper levels have the smaller words and
-    redress first and cheapest; the sweep stops at the first one that
-    refutes.  A level with q_k == q2_k needs no redressing, and then
-    neither does any level below it, so the sweep starts at the deepest
-    level that differs.  Each level's difference is emitted letter by
-    letter into one list, chi(q_k)^-1 and then chi(q2_k), each letter an
-    (address, sign) pair made once at its final address (see
-    `blueprint._difference`), so no word is copied on its way to
-    redressing.  Fractions stay address lists until the certificate: the
-    P_zero test reads each level's class off those lists through `_class`,
-    and only the top level's become words of Letters, for the certificate
-    below.  `budget` bounds each level's redressing; a budget error names
-    the level and how many redressed levels below it were found in P_zero.
+    Then compare the normal forms (NFs, `terms.normal_form`) of the two
+    projections.  Read a one-variable term as a left comb x*c1*...*ck, that
+    is ((x*c1)*c2)...*ck, with children c1..ck, and write P*a*b for (P*a)*b.
+    Absorption: P*a*b ~ P*b, where ~ is equivalence, whenever
+    b = a*s1*...*sm literally, m >= 1.  For m = 1 that is the identity with x = P, y = a,
+    z = s1.  For m > 1 write b = b'*sm: P*b ~ (P*b')*b by the identity,
+    P*b' ~ (P*a)*b' by induction, and ((P*a)*b')*b ~ (P*a)*b by the
+    identity with x = P*a, y = b', z = sm.  By congruence it holds as well
+    when b is only equivalent to a*s1*...*sm.
 
-    When every level passes, extend both terms by one tall right comb, apply
-    the top level's fraction numerator on one side and denominator on the
-    other (the blueprint acts on comb-extended terms, so both applications
-    are defined, and definedness of positive words only depends on the
-    skeleton), and compare the resulting expansions literally: distinct
-    terms with one skeleton are never equivalent.  If the projections are
-    equal, that fraction is empty and the comparison is t == t2.  Every
-    "yes" rests on that comparison.
+    Order lemma: if a and b are NFs and a is `_lex`-below b, then
+    b ~ a*s1*...*sm for some m >= 1.  By induction on size(a) + size(b),
+    with a = x*c1*...*ck and b = x*d1*...*dn: if the c's are a proper prefix
+    of the d's, it holds literally.  Otherwise let i be the first index with
+    c_i != d_i, so c_i is below d_i.  For j = i, ..., k in turn, c_j is at
+    most c_i, since an NF's children do not increase, so it is below d_i;
+    by induction d_i ~ c_j*s1*...*sm', and absorption read backwards gives
+    x*c1*...*c_(j-1)*d_i ~ x*c1*...*c_j*d_i.  After j = k,
+    b ~ a*d_i*...*dn.
+
+    So NF(t) ~ t: each child that NF(l*r) drops is below NF(r), which the
+    lemma writes as that child followed by more, and absorption removes
+    it.  And distinct NFs a and b are inequivalent: say a is below b; then
+    b ~ a*s1*...*sm, a term with a as a proper iterated left subterm, and
+    by the paper's acyclicity no term is equivalent to a proper iterated
+    left subterm of an equivalent term (`compare` finds such a pair in
+    P_plus, never P_zero, and `oracle_equiv` refutes with the same
+    invariant).  Two one-variable terms are therefore equivalent exactly
+    when their NFs are equal, and `_normal_forms` builds the two NFs as one
+    object when they are.  Projection keeps equivalence, so projections of
+    distinct NFs refute the pair, and on a one-variable pair equal NFs
+    mean "yes".  Neither answer redresses anything, and `budget` bounds
+    nothing on a one-variable pair.
+
+    On a pair of several variables whose projections have one NF, the
+    projections q, q2 are equivalent, so their blueprint difference
+    chi(q)^-1.chi(q2) is in P_zero, and so is that of every level of their
+    right spines: no lower level can refute.  The difference is emitted
+    letter by letter into one list (`blueprint._difference`), each letter
+    an (address, sign) pair made once at its final address, and redressed
+    once, within `budget`; a budget error keeps the redressing's progress
+    and says that the projections' NFs agree.  Extend both terms by one
+    tall right comb, apply the fraction's numerator on one side and its
+    denominator on the other (the blueprint acts on comb-extended terms, so
+    both applications are defined, and definedness of positive words only
+    depends on the skeleton), and compare the resulting expansions
+    literally: distinct terms with one skeleton are never equivalent.  If
+    the projections are equal, the fraction is empty, nothing is
+    redressed, and the comparison is t == t2.  Every "yes" on several
+    variables rests on that comparison.
     """
     if not same_spine(t, t2):
         return False
@@ -151,23 +171,18 @@ def decide(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
         a, b = a.left, b.left
         if a.right_height != b.right_height:
             return False
-    levels, levels2 = [q], [q2]
-    while type(levels[-1]) is Node:  # one spine profile: one right height
-        levels.append(levels[-1].right)
-        levels2.append(levels2[-1].right)
-    h = k = len(levels) - 1
-    while k and levels[k - 1].left == levels2[k - 1].left:
-        k -= 1
+    n, n2 = _normal_forms((q, q2))
+    if n is not n2:
+        return False
+    if t.max_var == 1:  # and so is t2's, by same_spine
+        return True
     num = den = ()
-    for j in range(k - 1, -1, -1):
+    if q != q2:
         try:
-            num, den = _reverse(_difference(levels[j], levels2[j]), budget)
+            num, den = _reverse(_difference(q, q2), budget)
         except StepBudgetExceeded as exc:
             raise StepBudgetExceeded(
-                f"{exc}; at right-spine level {j} of {h}, after {k - 1 - j} levels "
-                f"found P_zero") from exc
-        if _class(num, den) is not Classification.P_ZERO:
-            return False
+                f"{exc}; at the top level, whose projections have one normal form") from exc
     comb = right_comb(max(t.size, t2.size))
     a = apply_word(Node(t, comb), pos_word(num))
     b = apply_word(Node(t2, comb), pos_word(den))

@@ -65,7 +65,7 @@ from .action import apply_letter, apply_word
 from .errors import SizeLimitExceeded
 from .redress import DEFAULT_BUDGET, complement
 from .terms import Node, Term, render_term
-from .words import Word, pos_word, positive_addresses, render_word
+from .words import Word, _letter, pos_word, positive_addresses, render_word
 
 DEFAULT_MAX_SIZE = 10**6
 
@@ -341,5 +341,8 @@ def _transport(t: Term, alpha: str, out: list) -> bool:
 
 def lcm(u: Word, v: Word, budget: int = DEFAULT_BUDGET) -> Word:
     """The right lcm u.(u\\v), from one reversal of u^-1.v, which `budget`
-    bounds.  It equals v.(v\\u) by the reversal grid; the tests check that."""
-    return u + complement(u, v, budget=budget)
+    bounds.  It equals v.(v\\u) by the reversal grid; the tests check that.
+    `complement` refuses a negative letter of u or v, and u's letters are
+    then built again, as `Letter`s."""
+    rest = complement(u, v, budget=budget)
+    return tuple(map(_letter, u)) + rest

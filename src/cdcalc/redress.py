@@ -21,7 +21,7 @@ One core, `_reverse`, does the redressing on address strings and returns
 the numerator and the denominator as lists of addresses.  `redress` wraps
 them as a `Fraction` of positive words; `complement` builds only the
 numerator's letters, `pos_equiv` and `group_equiv` none.  Callers that only
-read addresses, such as the P_zero test of `decide`, call the core directly.
+read addresses, such as `classify` and `decide`, call the core directly.
 """
 
 from itertools import repeat

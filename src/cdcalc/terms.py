@@ -240,6 +240,94 @@ def project(t: Term) -> Term:
     return substitute(t, {i: X for i in variables(t) if i != 1})
 
 
+def normal_form(t: Term) -> Term:
+    """The normal form of a one-variable term: the least member of its
+    class, and t itself when t is that member and its leaves are one object.
+
+    Read t as a left comb x*c1*...*ck, that is ((x*c1)*c2)...*ck, with x
+    its leftmost leaf and c1..ck its children, the right children along its
+    left spine.  NF(x) is x, and NF(l*r) absorbs NF(r) into NF(l): the top
+    children of NF(l) are dropped while each is `_lex`-smaller than NF(r),
+    and NF(r) is pushed after the rest.  So an NF's children are NFs and do
+    not increase.  Two one-variable terms are equivalent exactly when their
+    NFs are equal; `decide` gives the argument.  Built by `_normal_forms`."""
+    return _normal_forms((t,))[0]
+
+
+def _normal_forms(terms) -> list:
+    """The normal forms of one-variable terms, built together: one memo
+    maps a node's id to its NF, so a shared subterm is normalised once,
+    and one table hash-conses the NF nodes, keyed like `parse_term`'s
+    products, so that equal NFs of the call are one object.  The first leaf
+    met is the NF of every leaf, and an input node whose children are
+    their own NFs and absorb nothing is its own NF.  Both tables are local
+    to the call, so memory is bounded by the input; the walk is iterative."""
+    nf, table, order, out = {}, {}, {}, []
+    leaf = None
+    for t in terms:
+        if t.max_var != 1:
+            raise ValueError(f"one-variable term required (all leaves x1): {render_term(t)}")
+        stack = [t]
+        while stack:
+            u = stack[-1]
+            if id(u) in nf:
+                stack.pop()
+            elif type(u) is Leaf:
+                if leaf is None:
+                    leaf = u
+                nf[id(u)] = leaf
+            elif id(u.left) not in nf:
+                stack.append(u.left)
+            elif id(u.right) not in nf:
+                stack.append(u.right)
+            else:
+                a, b = nf[id(u.left)], nf[id(u.right)]
+                while type(a) is Node and _lex(a.right, b, order) < 0:
+                    a = a.left
+                key = id(a) << 64 | id(b)
+                node = table.get(key)
+                if node is None:
+                    node = table[key] = u if u.left is a and u.right is b else Node(a, b)
+                nf[id(u)] = node
+        out.append(nf[id(t)])
+    return out
+
+
+def _lex(a: Term, b: Term, memo: dict) -> int:
+    """-1, 0 or 1 as NF a is below, equal to or above NF b, both from one
+    `_normal_forms` call: their children sequences compared element by
+    element, a proper prefix below.  The first differing pair of children
+    decides, so the comparison descends to it in a loop; every pair it
+    passes gets the result in `memo`, keyed by the pair's ids."""
+    keys = []
+    sign = 0
+    while a is not b:
+        key = id(a) << 64 | id(b)
+        if key in memo:
+            sign = memo[key]
+            break
+        keys.append(key)
+        cs, ds = _children(a), _children(b)
+        i = next((i for i, (c, d) in enumerate(zip(cs, ds)) if c is not d), None)
+        if i is None:
+            sign = -1 if len(cs) < len(ds) else 1
+            break
+        a, b = cs[i], ds[i]
+    for key in keys:
+        memo[key] = sign
+    return sign
+
+
+def _children(t: Term) -> list:
+    """The right children along t's left spine, bottom first."""
+    out = []
+    while type(t) is Node:
+        out.append(t.right)
+        t = t.left
+    out.reverse()
+    return out
+
+
 def substitute(t: Term, mapping: dict) -> Term:
     """Apply the substitution {index: term} to t. Unmapped variables stay,
     and t comes back itself when nothing in it maps."""

@@ -9,8 +9,7 @@ Every function that takes a word reads each letter as an (address, sign)
 pair, by unpacking or by index, so plain pairs do as well as `Letter`s.
 `Letter` is that pair with its two fields named, `addr` and `sign`, and
 every letter a function builds is one: the words the library returns are
-tuples of `Letter`s, but `lcm` and `star` begin theirs with their first
-argument's letters as given.
+tuples of `Letter`s.
 
 Text format: `eps` for the empty word, otherwise letters joined by dots;
 a letter is an optional `-` followed by `e` (the root) or a 01-string,

@@ -348,11 +348,14 @@ def reference_redress(w, budget=DEFAULT_BUDGET):
 
 
 def reference_decide(t, t2, budget=DEFAULT_BUDGET):
-    """`decide`'s level sweep on words of letters, through the public `chi`,
-    `inverse`, `redress` and `dil`: each level's blueprint difference is
-    redressed to a Fraction and classified by dil(1, -) of its words, and
-    the top level's fraction is applied to the comb-extended terms.
-    `decide` must give the same verdicts and the same budget texts."""
+    """The paper's level sweep on words of letters, through the public
+    `chi`, `inverse`, `redress` and `dil`: from the deepest right-spine level
+    that differs up, each level's blueprint difference is redressed to a
+    Fraction and classified by dil(1, -) of its words, the first level not
+    in P_zero refutes, and the top level's fraction is applied to the
+    comb-extended terms.  A budget error names the level and how many
+    levels below it were found in P_zero.  Wherever it answers, `decide`
+    and the normal forms must give the same verdict."""
     if not same_spine(t, t2):
         return False
     levels, levels2 = [project(t)], [project(t2)]

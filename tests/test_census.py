@@ -3,6 +3,8 @@
 calls equal merged into one class, and the classes counted by the size of
 their least member.  Any change to `decide`, `compare`, `redress` or
 `blueprint` that moves an answer in this region moves a pinned count.
+`compare` orders the census by blueprints, independently of the normal
+forms, which the tests below hold to it.
 
 Run as a script, `python tests/test_census.py N` prints the class counts of
 `one_var_upto(N)` by least size 1, 2, ..., N on one line.
@@ -12,7 +14,8 @@ import sys
 from collections import Counter
 from functools import cmp_to_key, lru_cache
 
-from cdcalc import Classification, Verdict, compare, decide, oracle_equiv
+from cdcalc import Classification, Verdict, compare, decide, normal_form, oracle_equiv
+from cdcalc.terms import _lex, _normal_forms
 from helpers import one_var_upto
 
 _SIGN = {Classification.P_PLUS: -1, Classification.P_ZERO: 0, Classification.P_MINUS: 1}
@@ -54,6 +57,23 @@ def test_each_class_has_one_least_member_and_the_classes_increase():
         assert [t.size for t in c].count(m.size) == 1
     for t, t2 in zip(least, least[1:]):
         assert compare(t, t2) is Classification.P_PLUS
+
+
+def test_normal_forms_are_one_per_class_and_increase_with_the_census():
+    # built in one call, so equal normal forms are one object
+    classes = census(8)
+    forms = iter(_normal_forms([t for c in classes for t in c]))
+    per_class = [[next(forms) for _ in c] for c in classes]
+    assert all(n is ns[0] for ns in per_class for n in ns)
+    firsts = [ns[0] for ns in per_class]
+    assert len(set(map(id, firsts))) == len(classes) == 200
+    memo = {}
+    assert all(_lex(a, b, memo) == -1 for a, b in zip(firsts, firsts[1:]))
+    for m, n in zip(least_members(classes), firsts):
+        assert n == m
+        # a least member comes back as itself, and so does a normal form
+        assert normal_form(m) is m
+        assert normal_form(n) is n
 
 
 def test_the_classes_are_the_pairwise_decide_partition():

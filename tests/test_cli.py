@@ -149,10 +149,12 @@ def test_a_leading_inverse_letter_needs_a_separator(capsys):
     (["--budget", "1", "lcm", "0", "1.e"],
      "redressing stopped at its budget after 1 steps; the word has 3 letters, the input had 3"),
     (["expand", "--steps", "-1", T3], "steps must be >= 0"),
-    (["--budget", "20", "decide", "(x1 (x1 (x1 (x1 x1))))",
-      "((((x1 x1) (x1 x1)) ((x1 x1) (x1 x1))) (((x1 x1) (x1 x1)) ((x1 x1) (x1 x1))))"],
+    # two variables, and the projections comb5 and partial(comb5), whose
+    # top-level difference needs 55 redressing steps
+    (["--budget", "20", "decide", "(x1 (x1 (x1 (x1 x2))))",
+      "((((x1 x1) (x1 x1)) ((x1 x1) (x1 x1))) (((x1 x1) (x1 x1)) ((x1 x1) (x1 x2))))"],
      "redressing stopped at its budget after 20 steps; the word has 48 letters, the input had 55; "
-     "at right-spine level 0 of 4, after 2 levels found P_zero"),
+     "at the top level, whose projections have one normal form"),
     (["--max-size", "5", "partial", "(x1 (x1 (x1 x1)))"],
      "partial grew past 5 leaves: its finished parts hold 8"),
     (["--max-size", "3", "apply", "(x1 (x1 x1))", "e"],

@@ -24,9 +24,11 @@ from cdcalc import (
     classify,
     compare,
     decide,
+    delta,
     dil,
     expansions,
     inverse,
+    normal_form,
     oracle_equiv,
     parse_term,
     parse_word,
@@ -45,6 +47,7 @@ from cdcalc import (
 )
 from cdcalc.cli import main
 from cdcalc.redress import DEFAULT_BUDGET, _reverse
+from cdcalc.terms import _lex, _normal_forms
 from helpers import (
     X,
     cd_relations,
@@ -165,12 +168,15 @@ def _path_refutes(t, t2):
 
 
 def test_decide_matches_the_letter_path_reference():
-    # decide keeps each level's fraction as address lists; the reference
-    # redresses and classifies words of letters through the public functions,
-    # and has no bottom-path check: where that check refutes, the reference
-    # may run out of budget first, but never says "yes"
+    # the reference is the paper's level sweep, which redresses and
+    # classifies words of letters through the public functions, and has no
+    # bottom-path check: where that check refutes, the reference may run out
+    # of budget first, but never says "yes".  Wherever the reference answers,
+    # decide gives its verdict; decide reads no budget on one-variable pairs,
+    # and these two-variable pairs redress within 5 steps, so it answers
+    # every pair at both budgets
     terms = one_var_upto(6) + labeled_upto(3, 2)
-    outcomes = set()
+    outcomes, references = set(), set()
     for budget in (DEFAULT_BUDGET, 5):
         for t in terms:
             for t2 in terms:
@@ -178,10 +184,12 @@ def test_decide_matches_the_letter_path_reference():
                 reference = _outcome(reference_decide, t, t2, budget)
                 if _path_refutes(t, t2):
                     assert outcome is False and reference is not True, (t, t2, budget)
-                else:
+                elif type(reference) is bool:
                     assert outcome == reference, (t, t2, budget)
                 outcomes.add(outcome if type(outcome) is bool else "budget")
-    assert outcomes == {True, False, "budget"}
+                references.add(reference if type(reference) is bool else "budget")
+    assert outcomes == {True, False}
+    assert references == {True, False, "budget"}
 
 
 def test_the_bottom_path_refutes_only_inequivalent_pairs():
@@ -388,6 +396,8 @@ def test_decide_holds_along_random_signed_walks():
 
 
 def test_decide_redresses_only_the_levels_that_differ(monkeypatch):
+    # only a pair of several variables is redressed, once, at the top level,
+    # and only when its projections differ
     calls = []
 
     def counting(w, budget):
@@ -400,37 +410,58 @@ def test_decide_redresses_only_the_levels_that_differ(monkeypatch):
     assert calls == []
     # one letter at the root keeps the right subterm, so only the top differs
     assert decide(x * (x * (x * x)), (x * x) * (x * (x * x))) is True
+    assert calls == []
     assert decide(parse_term("(x1 (x2 x3))"), parse_term("((x1 x2) (x2 x3))")) is True
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
-def test_a_budget_error_names_the_spine_level():
-    # comb5 vs partial(comb5) differs at levels 0..2; they need 55, 17 and 4
-    # redressing steps
+def _never_reversed(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-variable pair was redressed")
+
+    monkeypatch.setattr(sys.modules["cdcalc.decide"], "_reverse", refuse)
+
+
+def test_a_budget_error_names_the_spine_level(monkeypatch):
+    # comb5 vs partial(comb5) differs at levels 0..2; the reference sweep
+    # needs 55, 17 and 4 redressing steps there, and decide none
     t, t2 = right_comb(5), partial(right_comb(5))
     with pytest.raises(StepBudgetExceeded) as err:
-        decide(t, t2, budget=20)
-    assert str(err.value) == (
-        "redressing stopped at its budget after 20 steps; the word has 48 letters, the input "
-        "had 55; at right-spine level 0 of 4, after 2 levels found P_zero")
+        reference_decide(t, t2, budget=20)
+    stopped = ("redressing stopped at its budget after 20 steps; the word has 48 letters, the "
+               "input had 55")
+    assert str(err.value) == stopped + "; at right-spine level 0 of 4, after 2 levels found P_zero"
     with pytest.raises(StepBudgetExceeded) as err:
-        decide(t, t2, budget=0)
+        reference_decide(t, t2, budget=0)
     assert str(err.value).endswith("; at right-spine level 2 of 4, after 0 levels found P_zero")
-    assert decide(t, t2, budget=55) is True
+    assert reference_decide(t, t2, budget=55) is True
+    # with x2 for its rightmost leaf, the comb is a pair of two variables
+    # whose projections are the pair above: decide redresses their top level
+    # alone, with the same progress
+    u = parse_term("(x1 (x1 (x1 (x1 x2))))")
+    u2 = apply_word(u, delta(t))
+    assert project(u2) == t2
+    with pytest.raises(StepBudgetExceeded) as err:
+        decide(u, u2, budget=20)
+    assert str(err.value) == stopped + "; at the top level, whose projections have one normal form"
+    assert decide(u, u2, budget=55) is True
+    _never_reversed(monkeypatch)
+    assert decide(t, t2, budget=0) is True
 
 
 def test_each_level_redresses_its_blueprint_difference(monkeypatch):
-    # a pair whose bottom paths differ is refuted before any level; on the
-    # others, from the deepest level that differs up, level k hands redress
-    # chi(q_k)^-1.chi(q2_k) as `reference_chi` builds it, until a level
-    # refutes or the top passes
+    # in the reference sweep, from the deepest level that differs up, level
+    # k hands redress chi(q_k)^-1.chi(q2_k) as `reference_chi` builds it,
+    # until a level refutes or the top passes; decide answers each pair
+    # with the same verdict at budget 0, redressing nothing
     calls = []
 
     def recording(w, budget):
         calls.append(tuple(w))
-        return _reverse(w, budget)
+        return redress(w, budget)
 
-    monkeypatch.setattr(sys.modules["cdcalc.decide"], "_reverse", recording)
+    monkeypatch.setattr(sys.modules["helpers"], "redress", recording)
+    _never_reversed(monkeypatch)
     rng = random.Random(43)
     pairs = [(t, t2) for t in one_var_upto(7) for t2 in one_var_upto(7)]
     pairs += [(random_term(rng, n, 1), random_term(rng, n, 1))
@@ -440,9 +471,10 @@ def test_each_level_redresses_its_blueprint_difference(monkeypatch):
         if not same_spine(t, t2):
             continue
         calls.clear()
-        verdict = decide(t, t2)
+        verdict = reference_decide(t, t2)
+        assert decide(t, t2, budget=0) is verdict
         if _bottom_path(t) != _bottom_path(t2):
-            assert calls == [] and verdict is False
+            assert verdict is False
             continue
         levels, levels2 = [t], [t2]
         while type(levels[-1]) is Node:
@@ -492,6 +524,7 @@ def test_a_lower_level_refutes_past_the_top_level_budget(capsys):
     assert same_spine(t, t2)
     with pytest.raises(StepBudgetExceeded):
         redress(inverse(chi(t)) + chi(t2), budget=10**4)
+    assert reference_decide(t, t2, budget=10**4) is False
     assert decide(t, t2, budget=10**4) is False
     assert main(["--json", "--budget", "10000", "decide", *R16_113]) == 1
     assert json.loads(capsys.readouterr().out) == {"ok": True, "result": False}
@@ -507,16 +540,18 @@ R24_86 = (
 )
 
 
-def test_budget_errors_report_the_same_progress():
+def test_budget_errors_report_the_same_progress(monkeypatch):
     t, t2 = (parse_term(s) for s in R24_86)
     stopped = ("redressing stopped at its budget after 10000 steps; the word has 574 letters, "
                "the input had 335")
     with pytest.raises(StepBudgetExceeded) as err:
-        decide(t, t2, budget=10**4)
+        reference_decide(t, t2, budget=10**4)
     assert str(err.value) == stopped + "; at right-spine level 0 of 6, after 3 levels found P_zero"
     with pytest.raises(StepBudgetExceeded) as err:
         compare(t, t2, budget=10**4)
     assert str(err.value) == stopped
+    _never_reversed(monkeypatch)
+    assert decide(t, t2, budget=0) is True
 
 
 # Pairs r24-96 and r24-56 of the seed-61 decide-random benchmark corpus.
@@ -537,23 +572,28 @@ R24_56 = (
 
 
 def _decided_at_its_edge(t, t2, edge):
-    """decide(t, t2) is True at budget `edge`, the most steps any one level
-    needs, and runs out of budget one step below it; the top level's
-    fraction, redressed within `edge` steps, takes both comb-extended terms
-    to one term."""
-    assert decide(t, t2, budget=edge) is True
+    """The reference sweep says True at budget `edge`, the most steps any
+    one level needs, and runs out of budget one step below it; the top
+    level's fraction, redressed within `edge` steps, takes both
+    comb-extended terms to one term.  decide says True at budget 0, by the
+    normal forms, redressing nothing."""
+    assert reference_decide(t, t2, budget=edge) is True
     with pytest.raises(StepBudgetExceeded):
-        decide(t, t2, budget=edge - 1)
+        reference_decide(t, t2, budget=edge - 1)
     fraction = redress(inverse(chi(t)) + chi(t2), budget=edge)
     comb = right_comb(max(t.size, t2.size))
     a, b = apply_word(Node(t, comb), fraction.num), apply_word(Node(t2, comb), fraction.den)
     assert a is not None and a == b
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _never_reversed(monkeypatch)
+        assert decide(t, t2, budget=0) is True
 
 
 @pytest.mark.parametrize("pair, edge", [(R24_86, 14_806), (R24_96, 7_473), (R24_56, 1_097)],
                          ids=["r24-86", "r24-96", "r24-56"])
 def test_the_heaviest_unlabelled_corpus_pairs_are_equivalent(pair, edge):
-    # r24-86 is the corpus's budget failure at 10^4 steps
+    # r24-86 was the corpus's budget failure at 10^4 steps, when decide ran
+    # the sweep
     _decided_at_its_edge(*map(parse_term, pair), edge)
 
 
@@ -565,17 +605,20 @@ def test_a_comb_and_its_partial_are_equivalent_at_their_budget_edge(p, edge):
 def test_a_deep_left_comb_decides_in_linear_memory():
     # a 100,000-leaf left comb: its blueprint is 99,999 root letters, and
     # every prefix of it stays unbuilt, so 512 MiB of address space suffice.
-    # t and t*x differ on the bottom path and are refuted unredressed; the
-    # second pair is one rewrite apart, so its 200,005-letter difference is
-    # redressed and the certificate built
+    # t and t*x differ on the bottom path and are refuted unredressed.  The
+    # second pair is one rewrite apart, and its normal forms absorb all
+    # 99,999 children of t.  The third is that pair with x2 for the last
+    # leaf, so its 200,005-letter difference is redressed and the
+    # certificate built
     code = (
         "from cdcalc import Leaf, Node, chi, decide\n"
-        "x = Leaf(1)\n"
+        "x, y = Leaf(1), Leaf(2)\n"
         "t = x\n"
         "for _ in range(99_999):\n"
         "    t = Node(t, x)\n"
         "assert decide(t, Node(t, x)) is False\n"
         "assert decide(Node(t, x * x), Node(Node(t, x), x * x)) is True\n"
+        "assert decide(Node(t, x * y), Node(Node(t, x), x * y)) is True\n"
         "assert len(chi(t)) == 99_999\n"
     )
     ceiling = 512 * 2**20
@@ -585,6 +628,42 @@ def test_a_deep_left_comb_decides_in_linear_memory():
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (ceiling, ceiling)),
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_normal_forms_match_the_reference_and_compare():
+    # equal normal forms exactly where the reference sweep says "yes", and
+    # `_lex` of the normal forms in the order of `compare`
+    terms = one_var_upto(6)
+    forms = _normal_forms(terms)
+    memo = {}
+    sign = {Classification.P_PLUS: -1, Classification.P_ZERO: 0, Classification.P_MINUS: 1}
+    for t, n in zip(terms, forms):
+        for t2, n2 in zip(terms, forms):
+            assert (n is n2) is reference_decide(t, t2), (t, t2)
+            assert _lex(n, n2, memo) == sign[compare(t, t2)], (t, t2)
+    assert len(set(map(id, forms))) == 20 + 9 + 4 + 2 + 1 + 1
+
+
+@pytest.mark.parametrize("p", range(3, 23))
+def test_a_comb_and_its_partial_are_equivalent_at_budget_zero(monkeypatch, p):
+    # partial(comb_22) has 2^21 leaves, but a DAG of a few hundred nodes,
+    # and the normal forms cost the DAG's size
+    _never_reversed(monkeypatch)
+    assert decide(right_comb(p), partial(right_comb(p), max_size=1 << 22), budget=0) is True
+
+
+def test_normal_forms_of_deep_combs_do_not_recurse():
+    # a 100,000-leaf left comb and a 100,000-leaf right comb are their own
+    # normal forms; so is the left comb's left factor, which the second
+    # pair absorbs whole
+    n = 10**5
+    left = X
+    for _ in range(n - 1):
+        left = Node(left, X)
+    right = right_comb(n)
+    assert normal_form(left) is left
+    assert normal_form(right) is right
+    assert normal_form(Node(left, X * X)) == X * (X * X)
 
 
 def test_compare_examples():

@@ -288,6 +288,15 @@ def test_every_function_reads_a_letter_as_a_pair():
     assert applied > 300
 
 
+def test_lcm_and_star_build_letters_from_lists_and_plain_pairs():
+    # the first argument's letters too, not only the ones built after them
+    for u, v in cd_relations(1):
+        pu, pv = list(map(tuple, u)), list(map(tuple, v))
+        for got, want in ((lcm(pu, pv), lcm(u, v)), (star(pu, pv), star(u, v))):
+            assert type(got) is tuple and got == want
+            assert all(type(l) is Letter for l in got)
+
+
 @pytest.mark.parametrize("call", [
     positive_addresses, lambda w: dil(1, w), lambda w: complement(w, ()),
     lambda w: pos_equiv((), w), lambda w: lcm(w, ()),
