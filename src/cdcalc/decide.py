@@ -18,8 +18,8 @@ which compares the right heights and `max_var` stored in each term, and
 in O(n) on others, after the same O(1) height comparison.  (2) A
 bottom-path reject on the one-variable projections, at one comparison of
 stored right heights per step of the bottom path.  (3) The normal forms of
-the two projections, built together by `terms._normal_forms`: if they are
-not one object, "no".  (4) On a one-variable pair, "yes".  (5) On a pair of
+the two projections, numbered together by `terms._nf_codes`: if they are
+not one code, "no".  (4) On a one-variable pair, "yes".  (5) On a pair of
 several variables, one redressing of the top level's blueprint difference
 and one literal comparison of the expansions its fraction builds.  Neither
 reject builds a normal form, and no one-variable pair is redressed.
@@ -31,7 +31,7 @@ from .action import apply_word
 from .blueprint import _difference
 from .errors import StepBudgetExceeded
 from .redress import DEFAULT_BUDGET, _reverse
-from .terms import Node, Term, _normal_forms, project, right_comb, same_spine
+from .terms import Node, Term, _nf_codes, project, right_comb, same_spine
 from .words import Word, pos_word, positive_addresses
 
 
@@ -120,15 +120,15 @@ def decide(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
     identity with x = P*a, y = b', z = sm.  By congruence it holds as well
     when b is only equivalent to a*s1*...*sm.
 
-    Order lemma: if a and b are NFs and a is `_lex`-below b, then
-    b ~ a*s1*...*sm for some m >= 1.  By induction on size(a) + size(b),
-    with a = x*c1*...*ck and b = x*d1*...*dn: if the c's are a proper prefix
-    of the d's, it holds literally.  Otherwise let i be the first index with
-    c_i != d_i, so c_i is below d_i.  For j = i, ..., k in turn, c_j is at
-    most c_i, since an NF's children do not increase, so it is below d_i;
-    by induction d_i ~ c_j*s1*...*sm', and absorption read backwards gives
-    x*c1*...*c_(j-1)*d_i ~ x*c1*...*c_j*d_i.  After j = k,
-    b ~ a*d_i*...*dn.
+    Order lemma: if a and b are NFs and a is below b in the order `lex` of
+    `terms._nf_codes`, then b ~ a*s1*...*sm for some m >= 1.  By induction
+    on size(a) + size(b), with a = x*c1*...*ck and b = x*d1*...*dn: if the
+    c's are a proper prefix of the d's, it holds literally.  Otherwise let i
+    be the first index with c_i != d_i, so c_i is below d_i.  For j = i,
+    ..., k in turn, c_j is at most c_i, since an NF's children do not
+    increase, so it is below d_i; by induction d_i ~ c_j*s1*...*sm', and
+    absorption read backwards gives x*c1*...*c_(j-1)*d_i ~ x*c1*...*c_j*d_i.
+    After j = k, b ~ a*d_i*...*dn.
 
     So NF(t) ~ t: each child that NF(l*r) drops is below NF(r), which the
     lemma writes as that child followed by more, and absorption removes
@@ -138,8 +138,8 @@ def decide(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
     left subterm of an equivalent term (`compare` finds such a pair in
     P_plus, never P_zero, and `oracle_equiv` refutes with the same
     invariant).  Two one-variable terms are therefore equivalent exactly
-    when their NFs are equal, and `_normal_forms` builds the two NFs as one
-    object when they are.  Projection keeps equivalence, so projections of
+    when their NFs are equal, and `_nf_codes` numbers the two NFs as one
+    code when they are.  Projection keeps equivalence, so projections of
     distinct NFs refute the pair, and on a one-variable pair equal NFs
     mean "yes".  Neither answer redresses anything, and `budget` bounds
     nothing on a one-variable pair.
@@ -171,8 +171,8 @@ def decide(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
         a, b = a.left, b.left
         if a.right_height != b.right_height:
             return False
-    n, n2 = _normal_forms((q, q2))
-    if n is not n2:
+    (c, c2), *_ = _nf_codes((q, q2))
+    if c != c2:
         return False
     if t.max_var == 1:  # and so is t2's, by same_spine
         return True
@@ -186,7 +186,8 @@ def decide(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
     comb = right_comb(max(t.size, t2.size))
     a = apply_word(Node(t, comb), pos_word(num))
     b = apply_word(Node(t2, comb), pos_word(den))
-    assert a is not None and b is not None, "fraction must apply to the comb-extended terms"
+    if a is None or b is None:  # an explicit check, so that python -O keeps it
+        raise RuntimeError("the fraction does not apply to the comb-extended terms")
     return a == b
 
 

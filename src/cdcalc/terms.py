@@ -22,6 +22,10 @@ first hash fills in its own and those of its unhashed subterms, so terms
 that are only built, as Garside expansions mostly are, never pay for
 one.
 
+The normal forms of one-variable terms (`normal_form`) are numbered as
+small ints by `_nf_codes`, in tables local to each call, so equal normal
+forms of one call are one code, and a comparison of two is one of ints.
+
 `parse_term` and `words.parse_word` intern what they parse, through
 `_intern`, in one module-level table: a term text maps to its term, a
 word text t, under the key (t,), to its word, a variable token to its
@@ -242,90 +246,121 @@ def project(t: Term) -> Term:
 
 def normal_form(t: Term) -> Term:
     """The normal form of a one-variable term: the least member of its
-    class, and t itself when t is that member and its leaves are one object.
+    class, and t itself when t is literally that member.
 
     Read t as a left comb x*c1*...*ck, that is ((x*c1)*c2)...*ck, with x
     its leftmost leaf and c1..ck its children, the right children along its
     left spine.  NF(x) is x, and NF(l*r) absorbs NF(r) into NF(l): the top
-    children of NF(l) are dropped while each is `_lex`-smaller than NF(r),
-    and NF(r) is pushed after the rest.  So an NF's children are NFs and do
+    children of NF(l) are dropped while each is below NF(r) in the order
+    `lex` of `_nf_codes`, and NF(r) is pushed after the rest.  So an NF's children are NFs and do
     not increase.  Two one-variable terms are equivalent exactly when their
-    NFs are equal; `decide` gives the argument.  Built by `_normal_forms`."""
-    return _normal_forms((t,))[0]
+    NFs are equal; `decide` gives the argument.  `_nf_codes` gives t's NF
+    as one code, and the term is built from it in increasing code order,
+    only for the codes it reaches, with x1 as every leaf."""
+    (c,), lft, rgt, _ = _nf_codes((t,))
+    reached = [False] * (c + 1)
+    reached[c] = True
+    for i in range(c, 0, -1):
+        if reached[i]:
+            reached[lft[i]] = reached[rgt[i]] = True
+    built = [X] * (c + 1)
+    for i in range(1, c + 1):
+        if reached[i]:
+            built[i] = Node(built[lft[i]], built[rgt[i]])
+    n = built[c]
+    return t if n == t else n
 
 
-def _normal_forms(terms) -> list:
-    """The normal forms of one-variable terms, built together: one memo
-    maps a node's id to its NF, so a shared subterm is normalised once,
-    and one table hash-conses the NF nodes, keyed like `parse_term`'s
-    products, so that equal NFs of the call are one object.  The first leaf
-    met is the NF of every leaf, and an input node whose children are
-    their own NFs and absorb nothing is its own NF.  Both tables are local
-    to the call, so memory is bounded by the input; the walk is iterative."""
-    nf, table, order, out = {}, {}, {}, []
-    leaf = None
+def _nf_codes(terms) -> tuple:
+    """The normal forms of one-variable terms, numbered together as small
+    ints, with the tables that spell them and their order.  Returns
+    (codes, lft, rgt, lex): codes[i] is the code of terms[i]'s NF.
+
+    Code 0 is the leaf.  A code c > 0 stands for the product of the codes
+    lft[c] and rgt[c], and has kids[c] = kids[lft[c]] + 1 children, so
+    lft[c] and rgt[c] are below c.  One table hash-conses the codes under
+    the key a << 64 | b of a product of codes a and b; the key is
+    injective since a code is below len(lft), and a list holds fewer than
+    2**63 items.  So equal NFs of one call are one code, and their equality
+    is that of two ints.  One memo maps an input node's id to its NF's
+    code, so a shared subterm is normalised once, and one maps a pair of
+    codes to its lex result.  All of them are local to the call, and there
+    is at most one code per distinct input node, plus the leaf.
+
+    lex(a, b) is -1, 0 or 1 as NF a is below, equal to or above NF b:
+    their children sequences compared element by element, a proper prefix
+    below.  The NF with more children walks down its left spine until both
+    have as many; if the two codes are then equal, the shorter NF is a
+    proper prefix of the other.  Otherwise both walk down in lockstep until
+    their lft codes are equal, which, codes being hash-consed, is where
+    their prefixes agree; their rgt codes are then the first differing
+    pair of children, and the comparison goes on with them, in a loop.
+    Every pair it passes gets the result in the memo.  In the pop loop, a
+    leaf absorbs nothing, and rgt[a] == b stops it without a lex call.
+    Nothing recurses."""
+    lft, rgt, kids = [0], [0], [0]
+    table, memo, code = {}, {}, {}
+
+    def lex(a, b):
+        keys = []
+        sign = 0
+        while a != b:
+            key = a << 64 | b
+            sign = memo.get(key)
+            if sign is not None:
+                break
+            keys.append(key)
+            i, j = kids[a], kids[b]
+            x, y = a, b
+            while i > j:
+                x = lft[x]
+                i -= 1
+            while j > i:
+                y = lft[y]
+                j -= 1
+            if x == y:
+                sign = -1 if kids[a] < kids[b] else 1
+                break
+            while lft[x] != lft[y]:
+                x, y = lft[x], lft[y]
+            a, b = rgt[x], rgt[y]
+        for key in keys:
+            memo[key] = sign
+        return sign
+
+    codes = []
     for t in terms:
         if t.max_var != 1:
             raise ValueError(f"one-variable term required (all leaves x1): {render_term(t)}")
         stack = [t]
         while stack:
             u = stack[-1]
-            if id(u) in nf:
+            if type(u) is Leaf:
+                code[id(u)] = 0
                 stack.pop()
-            elif type(u) is Leaf:
-                if leaf is None:
-                    leaf = u
-                nf[id(u)] = leaf
-            elif id(u.left) not in nf:
+                continue
+            a = code.get(id(u.left))
+            if a is None:
                 stack.append(u.left)
-            elif id(u.right) not in nf:
+                continue
+            b = code.get(id(u.right))
+            if b is None:
                 stack.append(u.right)
-            else:
-                a, b = nf[id(u.left)], nf[id(u.right)]
-                while type(a) is Node and _lex(a.right, b, order) < 0:
-                    a = a.left
-                key = id(a) << 64 | id(b)
-                node = table.get(key)
-                if node is None:
-                    node = table[key] = u if u.left is a and u.right is b else Node(a, b)
-                nf[id(u)] = node
-        out.append(nf[id(t)])
-    return out
-
-
-def _lex(a: Term, b: Term, memo: dict) -> int:
-    """-1, 0 or 1 as NF a is below, equal to or above NF b, both from one
-    `_normal_forms` call: their children sequences compared element by
-    element, a proper prefix below.  The first differing pair of children
-    decides, so the comparison descends to it in a loop; every pair it
-    passes gets the result in `memo`, keyed by the pair's ids."""
-    keys = []
-    sign = 0
-    while a is not b:
-        key = id(a) << 64 | id(b)
-        if key in memo:
-            sign = memo[key]
-            break
-        keys.append(key)
-        cs, ds = _children(a), _children(b)
-        i = next((i for i, (c, d) in enumerate(zip(cs, ds)) if c is not d), None)
-        if i is None:
-            sign = -1 if len(cs) < len(ds) else 1
-            break
-        a, b = cs[i], ds[i]
-    for key in keys:
-        memo[key] = sign
-    return sign
-
-
-def _children(t: Term) -> list:
-    """The right children along t's left spine, bottom first."""
-    out = []
-    while type(t) is Node:
-        out.append(t.right)
-        t = t.left
-    out.reverse()
-    return out
+                continue
+            stack.pop()
+            if b:
+                while a and rgt[a] != b and lex(rgt[a], b) < 0:
+                    a = lft[a]
+            key = a << 64 | b
+            c = table.get(key)
+            if c is None:
+                c = table[key] = len(lft)
+                lft.append(a)
+                rgt.append(b)
+                kids.append(kids[a] + 1)
+            code[id(u)] = c
+        codes.append(code[id(t)])
+    return codes, lft, rgt, lex
 
 
 def substitute(t: Term, mapping: dict) -> Term:

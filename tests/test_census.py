@@ -7,7 +7,9 @@ their least member.  Any change to `decide`, `compare`, `redress` or
 forms, which the tests below hold to it.
 
 Run as a script, `python tests/test_census.py N` prints the class counts of
-`one_var_upto(N)` by least size 1, 2, ..., N on one line.
+`one_var_upto(N)` by least size 1, 2, ..., N on one line, and
+`python tests/test_census.py --normal-forms N` prints the same counts found
+by grouping the terms by normal form alone (`normal_form_class_counts`).
 """
 
 import sys
@@ -15,7 +17,7 @@ from collections import Counter
 from functools import cmp_to_key, lru_cache
 
 from cdcalc import Classification, Verdict, compare, decide, normal_form, oracle_equiv
-from cdcalc.terms import _lex, _normal_forms
+from cdcalc.terms import _nf_codes
 from helpers import one_var_upto
 
 _SIGN = {Classification.P_PLUS: -1, Classification.P_ZERO: 0, Classification.P_MINUS: 1}
@@ -60,20 +62,54 @@ def test_each_class_has_one_least_member_and_the_classes_increase():
 
 
 def test_normal_forms_are_one_per_class_and_increase_with_the_census():
-    # built in one call, so equal normal forms are one object
+    # numbered in one call, so equal normal forms are one code
     classes = census(8)
-    forms = iter(_normal_forms([t for c in classes for t in c]))
-    per_class = [[next(forms) for _ in c] for c in classes]
-    assert all(n is ns[0] for ns in per_class for n in ns)
+    codes, _, _, lex = _nf_codes([t for c in classes for t in c])
+    codes = iter(codes)
+    per_class = [[next(codes) for _ in c] for c in classes]
+    assert all(n == ns[0] for ns in per_class for n in ns)
     firsts = [ns[0] for ns in per_class]
-    assert len(set(map(id, firsts))) == len(classes) == 200
-    memo = {}
-    assert all(_lex(a, b, memo) == -1 for a, b in zip(firsts, firsts[1:]))
-    for m, n in zip(least_members(classes), firsts):
+    assert len(set(firsts)) == len(classes) == 200
+    assert all(lex(a, b) == -1 for a, b in zip(firsts, firsts[1:]))
+    for c, m in zip(classes, least_members(classes)):
+        n = normal_form(c[0])
         assert n == m
         # a least member comes back as itself, and so does a normal form
         assert normal_form(m) is m
         assert normal_form(n) is n
+
+
+def a000081(n):
+    """The first n terms of OEIS A000081 (https://oeis.org/A000081), the
+    rooted trees of 1, 2, ..., n nodes, from a(1) = 1 and
+    m*a(m+1) = sum_{k=1..m} (sum_{d | k} d*a(d)) * a(m-k+1)."""
+    a = [0, 1]
+    for m in range(1, n):
+        s = sum(sum(d * a[d] for d in range(1, k + 1) if k % d == 0) * a[m - k + 1]
+                for k in range(1, m + 1))
+        a.append(s // m)
+    return a[1:n + 1]
+
+
+def normal_form_class_counts(n):
+    """The number of distinct normal forms of `one_var_upto(n)` with k leaves,
+    for k = 1, 2, ..., n: the terms are numbered in one `_nf_codes` call,
+    and a code's size is summed from its lft and rgt codes, which are lower.
+    A normal form is the least member of its class, so these are the class
+    counts by least size."""
+    codes, lft, rgt, _ = _nf_codes(one_var_upto(n))
+    size = [1]
+    for a, b in zip(lft[1:], rgt[1:]):
+        size.append(size[a] + size[b])
+    counts = Counter(size[c] for c in set(codes))
+    return [counts[k] for k in range(1, n + 1)]
+
+
+def test_normal_form_classes_are_counted_by_a000081():
+    # an NF of k leaves is a rooted tree of k nodes: each leaf is a node,
+    # and its children, which do not increase, are a multiset of subtrees
+    want = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842]
+    assert normal_form_class_counts(11) == a000081(11) == want
 
 
 def test_the_classes_are_the_pairwise_decide_partition():
@@ -95,4 +131,7 @@ def test_the_oracle_never_splits_a_class_and_refutes_adjacent_ones():
 
 
 if __name__ == "__main__":
-    print(*counts_by_least_size(census(int(sys.argv[1]))))
+    if sys.argv[1] == "--normal-forms":
+        print(*normal_form_class_counts(int(sys.argv[2])))
+    else:
+        print(*counts_by_least_size(census(int(sys.argv[1]))))

@@ -33,6 +33,7 @@ from cdcalc import (
     parse_term,
     parse_word,
     partial,
+    partial_iter,
     project,
     redress,
     render_term,
@@ -47,7 +48,7 @@ from cdcalc import (
 )
 from cdcalc.cli import main
 from cdcalc.redress import DEFAULT_BUDGET, _reverse
-from cdcalc.terms import _lex, _normal_forms
+from cdcalc.terms import _nf_codes
 from helpers import (
     X,
     cd_relations,
@@ -364,8 +365,9 @@ def test_spine_reject_needs_no_redressing(monkeypatch):
     assert decide(t, t2) is False
 
 
-def _signed_walk(rng, t, length):
-    # a random applicable word of signed letters, applied to t
+def _applicable_word(rng, t, length):
+    # a random word of signed letters that applies to t, letter by letter
+    word = []
     for _ in range(length):
         images = []
         stack = [("", t)]
@@ -373,15 +375,22 @@ def _signed_walk(rng, t, length):
             addr, cur = stack.pop()
             if type(cur) is Node:
                 for sign in (1, -1):
-                    image = apply_letter(t, Letter(addr, sign))
+                    letter = Letter(addr, sign)
+                    image = apply_letter(t, letter)
                     if image is not None:
-                        images.append(image)
+                        images.append((letter, image))
                 stack.append((addr + "0", cur.left))
                 stack.append((addr + "1", cur.right))
         if not images:
             break
-        t = rng.choice(images)
-    return t
+        letter, t = rng.choice(images)
+        word.append(letter)
+    return word
+
+
+def _signed_walk(rng, t, length):
+    # a random applicable word of signed letters, applied to t
+    return apply_word(t, _applicable_word(rng, t, length))
 
 
 def test_decide_holds_along_random_signed_walks():
@@ -631,17 +640,16 @@ def test_a_deep_left_comb_decides_in_linear_memory():
 
 
 def test_normal_forms_match_the_reference_and_compare():
-    # equal normal forms exactly where the reference sweep says "yes", and
-    # `_lex` of the normal forms in the order of `compare`
+    # equal normal form codes exactly where the reference sweep says "yes",
+    # and `lex` of the codes in the order of `compare`
     terms = one_var_upto(6)
-    forms = _normal_forms(terms)
-    memo = {}
+    codes, _, _, lex = _nf_codes(terms)
     sign = {Classification.P_PLUS: -1, Classification.P_ZERO: 0, Classification.P_MINUS: 1}
-    for t, n in zip(terms, forms):
-        for t2, n2 in zip(terms, forms):
-            assert (n is n2) is reference_decide(t, t2), (t, t2)
-            assert _lex(n, n2, memo) == sign[compare(t, t2)], (t, t2)
-    assert len(set(map(id, forms))) == 20 + 9 + 4 + 2 + 1 + 1
+    for t, c in zip(terms, codes):
+        for t2, c2 in zip(terms, codes):
+            assert (c == c2) is reference_decide(t, t2), (t, t2)
+            assert lex(c, c2) == sign[compare(t, t2)], (t, t2)
+    assert len(set(codes)) == 20 + 9 + 4 + 2 + 1 + 1
 
 
 @pytest.mark.parametrize("p", range(3, 23))
@@ -664,6 +672,52 @@ def test_normal_forms_of_deep_combs_do_not_recurse():
     assert normal_form(left) is left
     assert normal_form(right) is right
     assert normal_form(Node(left, X * X)) == X * (X * X)
+
+
+def test_normal_forms_are_kept_by_signed_words():
+    # soundness against the identity itself: a word that applies to t
+    # leads to a term of the same normal form
+    rng = random.Random(47)
+    applied = 0
+    for t in one_var_upto(6):
+        for _ in range(3):
+            w = _applicable_word(rng, t, rng.randint(1, 5))
+            image = apply_word(t, w)
+            assert image is not None
+            assert normal_form(image) == normal_form(t), (t, w)
+            applied += len(w)
+    assert applied > 500
+
+
+def test_normal_forms_are_kept_by_partial_iter():
+    for t in one_var_upto(6):
+        assert normal_form(partial_iter(t, 2)) == normal_form(t), t
+
+
+def test_codes_are_bounded_by_the_distinct_input_nodes():
+    # 2^21 leaves, but a few hundred distinct objects: one code at most
+    # per object, plus the leaf
+    t = partial(right_comb(22), max_size=1 << 22)
+    seen, stack = set(), [t]
+    while stack:
+        u = stack.pop()
+        if id(u) not in seen:
+            seen.add(id(u))
+            if type(u) is Node:
+                stack += (u.left, u.right)
+    codes, lft, _, _ = _nf_codes((t, right_comb(22)))
+    assert t.size == 1 << 21 and len(seen) < 1000
+    assert len(lft) <= len(seen) + 1
+    assert codes[0] == codes[1]
+
+
+def test_a_fraction_that_does_not_apply_is_an_error(monkeypatch):
+    # the certificate check is no assert, so python -O keeps it too
+    t, t2 = parse_term("(x1 (x2 x2))"), parse_term("((x1 x2) (x2 x2))")
+    assert decide(t, t2) is True
+    monkeypatch.setattr(sys.modules["cdcalc.decide"], "apply_word", lambda t, w: None)
+    with pytest.raises(RuntimeError, match="does not apply"):
+        decide(t, t2)
 
 
 def test_compare_examples():
