@@ -18,8 +18,9 @@ which compares the right heights and `max_var` stored in each term, and
 in O(n) on others, after the same O(1) height comparison.  (2) A
 bottom-path reject on the one-variable projections, at one comparison of
 stored right heights per step of the bottom path.  (3) The normal forms of
-the two projections, numbered together by `terms._nf_codes`: if they are
-not one code, "no".  (4) On a one-variable pair, "yes".  (5) On a pair of
+the two projections, compared by `terms._nf_equal` level by level up their
+right spines, each level's children read from the right: the first child
+that differs means "no".  (4) On a one-variable pair, "yes".  (5) On a pair of
 several variables, one redressing of the top level's blueprint difference
 and one literal comparison of the expansions its fraction builds.  Neither
 reject builds a normal form, and no one-variable pair is redressed.
@@ -31,7 +32,7 @@ from .action import apply_word
 from .blueprint import _difference
 from .errors import StepBudgetExceeded
 from .redress import DEFAULT_BUDGET, _reverse
-from .terms import Node, Term, _nf_codes, project, right_comb, same_spine
+from .terms import Node, Term, _nf_equal, project, right_comb, same_spine
 from .words import Word, pos_word, positive_addresses
 
 
@@ -138,11 +139,34 @@ def decide(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
     left subterm of an equivalent term (`compare` finds such a pair in
     P_plus, never P_zero, and `oracle_equiv` refutes with the same
     invariant).  Two one-variable terms are therefore equivalent exactly
-    when their NFs are equal, and `_nf_codes` numbers the two NFs as one
-    code when they are.  Projection keeps equivalence, so projections of
-    distinct NFs refute the pair, and on a one-variable pair equal NFs
+    when their NFs are equal.  Projection keeps equivalence, so projections
+    of distinct NFs refute the pair, and on a one-variable pair equal NFs
     mean "yes".  Neither answer redresses anything, and `budget` bounds
     nothing on a one-variable pair.
+
+    `terms._nf_equal` reads the two NFs lazily, as codes of one
+    `terms._nf_codes` call, which are hash-consed, so two codes are equal
+    exactly when their NFs are.  Write q's right spine as levels q = l0*s1,
+    s1 = l1*s2, ..., down to a leaf.  NF(l*r)'s last child is NF(r), so two
+    terms with one NF have one NF at every level of their right spines; the
+    levels are compared from the deepest up, and at each the NFs of the
+    level below are one code m.  NF(l*r) pushes the NFs of l's children and
+    then NF(r), each after popping the tops below it, and what a push leaves
+    never increases from the bottom.  So it drops a child exactly when a
+    later one, NF(r) included, is above it: that one's push pops it if
+    nothing did before, and a child at least every later one is never
+    popped.  So NF(l*r)'s children, read from the right, are NF(r) and then,
+    of the NFs of l's children read top down, each that is at least every
+    one kept before it.  Two levels whose NFs below are both m thus have one
+    NF exactly when these kept sequences are equal.  Both are read in
+    lockstep: the first pair of kept codes that differ, or one side running
+    out first, means "no" without reading on; both running out together make
+    the level's code the next level's m.  A level whose read meets a
+    left-spine node read before in the same call, as on a tower that repeats
+    one left factor, compares the two levels' codes whole instead.  So each
+    spine node is read at most once, and since `number` memoises what the
+    reads number, they add at most one `lex` call per distinct spine node to
+    the work of numbering both terms.
 
     On a pair of several variables whose projections have one NF, the
     projections q, q2 are equivalent, so their blueprint difference
@@ -171,8 +195,7 @@ def decide(t: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
         a, b = a.left, b.left
         if a.right_height != b.right_height:
             return False
-    (c, c2), *_ = _nf_codes((q, q2))
-    if c != c2:
+    if not _nf_equal(q, q2):
         return False
     if t.max_var == 1:  # and so is t2's, by same_spine
         return True

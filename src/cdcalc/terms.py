@@ -23,8 +23,11 @@ that are only built, as Garside expansions mostly are, never pay for
 one.
 
 The normal forms of one-variable terms (`normal_form`) are numbered as
-small ints by `_nf_codes`, in tables local to each call, so equal normal
-forms of one call are one code, and a comparison of two is one of ints.
+small ints by the `number` that each `_nf_codes()` call returns, in tables
+of that call, so equal normal forms numbered by one `number` are one code,
+and a comparison of two is one of ints.  `_nf_equal` compares the normal
+forms of two terms in one such call's tables, from the right, and stops
+at the first child that differs.
 
 `parse_term` and `words.parse_word` intern what they parse, through
 `_intern`, in one module-level table: a term text maps to its term, a
@@ -254,10 +257,11 @@ def normal_form(t: Term) -> Term:
     children of NF(l) are dropped while each is below NF(r) in the order
     `lex` of `_nf_codes`, and NF(r) is pushed after the rest.  So an NF's children are NFs and do
     not increase.  Two one-variable terms are equivalent exactly when their
-    NFs are equal; `decide` gives the argument.  `_nf_codes` gives t's NF
-    as one code, and the term is built from it in increasing code order,
-    only for the codes it reaches, with x1 as every leaf."""
-    (c,), lft, rgt, _ = _nf_codes((t,))
+    NFs are equal; `decide` gives the argument.  `number` of `_nf_codes`
+    gives t's NF as one code, and the term is built from it in increasing
+    code order, only for the codes it reaches, with x1 as every leaf."""
+    number, lft, rgt, _ = _nf_codes()
+    c = number(t)
     reached = [False] * (c + 1)
     reached[c] = True
     for i in range(c, 0, -1):
@@ -271,21 +275,24 @@ def normal_form(t: Term) -> Term:
     return t if n == t else n
 
 
-def _nf_codes(terms) -> tuple:
-    """The normal forms of one-variable terms, numbered together as small
-    ints, with the tables that spell them and their order.  Returns
-    (codes, lft, rgt, lex): codes[i] is the code of terms[i]'s NF.
+def _nf_codes() -> tuple:
+    """Fresh tables that number the normal forms of one-variable terms as
+    small ints, and the functions that fill and read them.  Returns
+    (number, lft, rgt, lex): number(t) is the code of t's NF, and raises
+    ValueError unless t has one variable.
 
     Code 0 is the leaf.  A code c > 0 stands for the product of the codes
     lft[c] and rgt[c], and has kids[c] = kids[lft[c]] + 1 children, so
     lft[c] and rgt[c] are below c.  One table hash-conses the codes under
     the key a << 64 | b of a product of codes a and b; the key is
     injective since a code is below len(lft), and a list holds fewer than
-    2**63 items.  So equal NFs of one call are one code, and their equality
-    is that of two ints.  One memo maps an input node's id to its NF's
-    code, so a shared subterm is normalised once, and one maps a pair of
-    codes to its lex result.  All of them are local to the call, and there
-    is at most one code per distinct input node, plus the leaf.
+    2**63 items.  So equal NFs numbered by one `number` are one code, and
+    their equality is that of two ints.  One memo maps an input node's id
+    to its NF's code, so a shared subterm is normalised once; it is keyed
+    by id, so the caller keeps every term it numbers alive while it uses
+    `number`.  One more memo maps a pair of codes to its lex result.  The
+    tables belong to one `_nf_codes` call, and there is at most one code
+    per distinct node numbered, plus the leaf.
 
     lex(a, b) is -1, 0 or 1 as NF a is below, equal to or above NF b:
     their children sequences compared element by element, a proper prefix
@@ -328,10 +335,14 @@ def _nf_codes(terms) -> tuple:
             memo[key] = sign
         return sign
 
-    codes = []
-    for t in terms:
+    def number(t):
+        c = code.get(id(t))
+        if c is not None:
+            return c
         if t.max_var != 1:
             raise ValueError(f"one-variable term required (all leaves x1): {render_term(t)}")
+        if type(t) is Leaf:
+            return 0
         stack = [t]
         while stack:
             u = stack[-1]
@@ -359,8 +370,68 @@ def _nf_codes(terms) -> tuple:
                 rgt.append(b)
                 kids.append(kids[a] + 1)
             code[id(u)] = c
-        codes.append(code[id(t)])
-    return codes, lft, rgt, lex
+        return c
+
+    return number, lft, rgt, lex
+
+
+def _nf_equal(t: Term, t2: Term) -> bool:
+    """Whether the one-variable terms t and t2 have one normal form, read
+    lazily in the tables of one `_nf_codes` call, so that most unequal pairs
+    stop at the first child that differs; ValueError unless both terms have
+    one variable.
+
+    The levels of the two right spines are compared from the deepest up.
+    At a level l*r whose level below has the code m on both sides, the
+    children along l's left spine are numbered top down, and each whose
+    code is at least every code kept before it, m first, is kept: the kept
+    codes are NF(l*r)'s children, read from the right after NF(r).  Both
+    sides are read in lockstep until two kept codes differ or a side runs
+    out.  A level whose read meets a spine node read before compares the
+    two levels' codes whole, so each spine node is read at most once.
+    `decide` gives the argument and the cost."""
+    for u in (t, t2):
+        if u.max_var != 1:
+            raise ValueError(f"one-variable term required (all leaves x1): {render_term(u)}")
+    if t.right_height != t2.right_height:
+        return False
+    number, _, _, lex = _nf_codes()
+    levels = []
+    while type(t) is Node:
+        levels.append((t, t2))
+        t, t2 = t.right, t2.right
+    m = 0
+    seen = set()
+    for a, b in reversed(levels):
+        u, v = a.left, b.left
+        while True:  # each side's next kept code, read inline: generators were slower
+            c = d = -1
+            while type(u) is Node and id(u) not in seen:
+                seen.add(id(u))
+                c = number(u.right)
+                u = u.left
+                if c == m or lex(c, m) > 0:
+                    break
+                c = -1
+            while type(v) is Node and id(v) not in seen:
+                seen.add(id(v))
+                d = number(v.right)
+                v = v.left
+                if d == m or lex(d, m) > 0:
+                    break
+                d = -1
+            if c < 0 and type(u) is Node or d < 0 and type(v) is Node:
+                m = number(a)  # a spine node read before: the codes whole
+                if m != number(b):
+                    return False
+                break
+            if c != d:
+                return False
+            if c < 0:
+                m = number(a)
+                break
+            m = c
+    return True
 
 
 def substitute(t: Term, mapping: dict) -> Term:

@@ -64,8 +64,8 @@ def test_each_class_has_one_least_member_and_the_classes_increase():
 def test_normal_forms_are_one_per_class_and_increase_with_the_census():
     # numbered in one call, so equal normal forms are one code
     classes = census(8)
-    codes, _, _, lex = _nf_codes([t for c in classes for t in c])
-    codes = iter(codes)
+    number, _, _, lex = _nf_codes()
+    codes = iter([number(t) for c in classes for t in c])
     per_class = [[next(codes) for _ in c] for c in classes]
     assert all(n == ns[0] for ns in per_class for n in ns)
     firsts = [ns[0] for ns in per_class]
@@ -93,11 +93,12 @@ def a000081(n):
 
 def normal_form_class_counts(n):
     """The number of distinct normal forms of `one_var_upto(n)` with k leaves,
-    for k = 1, 2, ..., n: the terms are numbered in one `_nf_codes` call,
-    and a code's size is summed from its lft and rgt codes, which are lower.
-    A normal form is the least member of its class, so these are the class
-    counts by least size."""
-    codes, lft, rgt, _ = _nf_codes(one_var_upto(n))
+    for k = 1, 2, ..., n: the terms are numbered by one `_nf_codes` call's
+    `number`, and a code's size is summed from its lft and rgt codes, which
+    are lower.  A normal form is the least member of its class, so these
+    are the class counts by least size."""
+    number, lft, rgt, _ = _nf_codes()
+    codes = [number(t) for t in one_var_upto(n)]
     size = [1]
     for a, b in zip(lft[1:], rgt[1:]):
         size.append(size[a] + size[b])

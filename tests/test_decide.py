@@ -48,7 +48,7 @@ from cdcalc import (
 )
 from cdcalc.cli import main
 from cdcalc.redress import DEFAULT_BUDGET, _reverse
-from cdcalc.terms import _nf_codes
+from cdcalc.terms import _nf_codes, _nf_equal
 from helpers import (
     X,
     cd_relations,
@@ -643,7 +643,8 @@ def test_normal_forms_match_the_reference_and_compare():
     # equal normal form codes exactly where the reference sweep says "yes",
     # and `lex` of the codes in the order of `compare`
     terms = one_var_upto(6)
-    codes, _, _, lex = _nf_codes(terms)
+    number, _, _, lex = _nf_codes()
+    codes = [number(t) for t in terms]
     sign = {Classification.P_PLUS: -1, Classification.P_ZERO: 0, Classification.P_MINUS: 1}
     for t, c in zip(terms, codes):
         for t2, c2 in zip(terms, codes):
@@ -705,10 +706,129 @@ def test_codes_are_bounded_by_the_distinct_input_nodes():
             seen.add(id(u))
             if type(u) is Node:
                 stack += (u.left, u.right)
-    codes, lft, _, _ = _nf_codes((t, right_comb(22)))
+    comb = right_comb(22)
+    number, lft, _, _ = _nf_codes()
+    c, c2 = number(t), number(comb)
     assert t.size == 1 << 21 and len(seen) < 1000
     assert len(lft) <= len(seen) + 1
-    assert codes[0] == codes[1]
+    assert c == c2
+
+
+def nf_equal_pairs(n):
+    """The number of ordered pairs of `one_var_upto(n)` with one right
+    height, and of those with one normal form, once `_nf_equal` has been
+    held on each pair to the codes that one `number` gives the two terms."""
+    number, _, _, _ = _nf_codes()
+    by_height = {}
+    for t in one_var_upto(n):
+        by_height.setdefault(t.right_height, []).append((t, number(t)))
+    pairs = equal = 0
+    for group in by_height.values():
+        for t, c in group:
+            for t2, c2 in group:
+                assert _nf_equal(t, t2) is (c == c2), (t, t2)
+                pairs += 1
+                equal += c == c2
+    return pairs, equal
+
+
+def test_nf_equal_matches_the_codes_on_every_pair_upto_8():
+    assert nf_equal_pairs(8) == (99_602, 5_830)
+
+
+def _bottom_factor_grown(t):
+    # t with its bottom factor s (its lowest spine node is s*x) replaced by
+    # s*s.right, or by x*x when s is a leaf: s is a proper left subterm of
+    # the new factor, so the two are not equivalent, and neither are the
+    # two terms, whose levels differ from the deepest one up
+    lefts = []
+    while type(t.right) is Node:
+        lefts.append(t.left)
+        t = t.right
+    s = t.left
+    t = Node(Node(s, s.right) if type(s) is Node else x * x, t.right)
+    for left in reversed(lefts):
+        t = Node(left, t)
+    return t
+
+
+def test_nf_equal_on_parsed_pairs_that_share_subterms():
+    # 16-32 leaves, parsed, so equal subterms of the two sides are one
+    # object and the reads of the two spines meet: a signed walk from t is
+    # a "yes"; t against a walk from t with its bottom factor grown differs
+    # at the deepest level, and t against a walk from t*t.right, of which t
+    # is a proper left subterm, at the top
+    rng = random.Random(16)
+    kinds = {"walk": lambda t: t, "bottom": _bottom_factor_grown, "left": lambda t: Node(t, t.right)}
+    for kind, grow in kinds.items():
+        for _ in range(40):
+            t = random_term(rng, rng.randint(16, 32), 1)
+            t2 = _signed_walk(rng, grow(t), rng.randint(1, 4))
+            t, t2 = parse_term(render_term(t)), parse_term(render_term(t2))
+            number, _, _, _ = _nf_codes()
+            same = number(t) == number(t2)
+            assert same is (kind == "walk"), (kind, t, t2)
+            assert _nf_equal(t, t2) is same and _nf_equal(t2, t) is same, (kind, t, t2)
+
+
+_TOWERS = """
+import sys
+from cdcalc import Leaf, Node, decide
+
+x, n = Leaf(1), 2000
+
+
+def left_comb():
+    t = x
+    for _ in range(n - 1):
+        t = Node(t, x)
+    return t
+
+
+def combs_on_x():
+    # (...((x*C1)*C2)...)*Cn with C1 = x*x and C(i+1) = Ci*x, of NF x*Cn
+    t = c = x
+    for _ in range(n):
+        c = Node(c, x)
+        t = Node(t, c)
+    return t
+
+
+def tower(left):
+    t = x
+    for _ in range(n):
+        t = Node(left, t)
+    return t
+
+
+make = {"A": left_comb, "B": combs_on_x}[sys.argv[1]]
+assert decide(tower(make()), tower(make())) is True
+"""
+
+
+@pytest.mark.parametrize("shape", ["A", "B"])
+def test_nf_equal_reads_each_spine_node_once_on_shared_towers(shape):
+    # t = L*(L*(...(L*x))) of 2000 levels against the same tower over an
+    # equal but distinct L, a left comb (A) or a left comb of left combs
+    # (B).  Every level above the deepest meets L's spine nodes again, so it
+    # compares the two levels' codes whole.  Without that guard, each level
+    # of B reads all 2000 spine nodes of L against a growing code, for
+    # hundreds of seconds
+    src = str(Path(sys.modules["cdcalc"].__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _TOWERS, shape], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_decide_sets_up_no_cell_variable():
+    # a function defined inside decide turns the names it reads into cell
+    # variables, set up on every call, the O(1) spine rejects included: with
+    # _nf_equal's read as a closure in decide (four cell variables), the
+    # ~285 spine rejects of one decide-random seed took 0.083-0.085 ->
+    # 0.115-0.121 ms (median of seeds 61-70, best of 15, Python 3.11 on a
+    # shared 2-vCPU VM)
+    assert decide.__code__.co_cellvars == ()
 
 
 def test_a_fraction_that_does_not_apply_is_an_error(monkeypatch):
@@ -860,3 +980,10 @@ def test_enumerated_tables_satisfy_the_law():
                 for c in range(3):
                     bc = m[b][c]
                     assert m[a][bc] == m[m[a][b]][bc]
+
+
+if __name__ == "__main__":
+    # python tests/test_decide.py --nf-equal N prints `nf_equal_pairs(N)`
+    if sys.argv[1:2] != ["--nf-equal"]:
+        sys.exit("usage: python tests/test_decide.py --nf-equal N")
+    print(*nf_equal_pairs(int(sys.argv[2])))
